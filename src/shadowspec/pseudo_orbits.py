@@ -84,7 +84,15 @@ class PseudoOrbit:
         return self.points[n - a]
 
     def recompute_gap(self):
+        """max_i d(f(y_i), y_{i+1}), re-derived from the points.
+
+        Exact tori take the integer lane (``ToralAutomorphism.max_jump``);
+        every other system takes the maximum of ``distance`` over ``apply``.
+        Both give the same exact value.
+        """
         sys = self.system
+        if isinstance(sys, ToralAutomorphism) and sys.mode == "exact":
+            return sys.max_jump(self.points)
         jumps = [sys.distance(sys.apply(self.points[i]), self.points[i + 1])
                  for i in range(len(self.points) - 1)]
         return max_metric(jumps)

@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .barycenter import BarycenterWitness, as_periodic, extract_heteroclinic, verify_barycenter
 from .codecs import decode_point, decode_scalar, encode_point, encode_scalar
@@ -206,6 +207,11 @@ def _rebuild_pseudo_orbit(sys, spec: dict) -> PseudoOrbit:
 
 
 def _tracer_deviations(sys, po: PseudoOrbit, tracer, start: int):
+    """d(f^(n - start)(tracer), y_n) for every index n of ``po``.
+
+    The generic walk through ``apply`` and ``distance``; exact tori take
+    the integer lane in ``_max_tracer_deviation`` instead.
+    """
     a, b = po.index_range
     cur = sys.apply(tracer, a - start)
     devs = []
@@ -216,6 +222,14 @@ def _tracer_deviations(sys, po: PseudoOrbit, tracer, start: int):
     return devs
 
 
+def _max_tracer_deviation(sys, po: PseudoOrbit, tracer, start: int):
+    """The exact maximum of ``_tracer_deviations``."""
+    if isinstance(sys, ToralAutomorphism) and sys.mode == "exact":
+        x = sys.apply(tracer, po.index_range[0] - start)
+        return sys.max_orbit_deviation(x, po.points)
+    return max_metric(_tracer_deviations(sys, po, tracer, start))
+
+
 def _replay_shadowing(sys, payload: dict) -> bool:
     po = _rebuild_pseudo_orbit(sys, payload["pseudoOrbit"])
     eps = decode_scalar(payload["epsilon"])
@@ -223,13 +237,19 @@ def _replay_shadowing(sys, payload: dict) -> bool:
     if not po.gap <= delta:
         return False
     tracer = decode_point(sys, payload["tracer"])
-    devs = _tracer_deviations(sys, po, tracer, payload["start"])
-    if not all(d < eps for d in devs):
+    mx = _max_tracer_deviation(sys, po, tracer, payload["start"])
+    if not mx < eps:
         return False
-    return encode_scalar(max_metric(devs)) == payload["maxDeviation"]
+    return encode_scalar(mx) == payload["maxDeviation"]
 
 
 def _replay_spec(sys, payload: dict) -> bool:
+    level, thresholds = payload["level"], payload["thresholds"]
+    if not 1 <= level < len(thresholds):
+        return False
+    if (payload["lo"], payload["hi"]) != \
+            (thresholds[level - 1], thresholds[level]):
+        return False
     segments = [(decode_point(sys, t), int(n))
                 for t, n in payload["segments"]]
     ok, _ = check_specification(
@@ -244,8 +264,12 @@ def _replay_barycenter(sys, payload: dict) -> bool:
     q = as_periodic(sys, decode_point(sys, payload["q"]))
     if p.period != payload["pPeriod"] or q.period != payload["qPeriod"]:
         return False
+    X, half = payload["X"], payload["N1"]
+    if not (X == payload["N"] == 2 * half
+            and half % lcm(p.period, q.period) == 0):
+        return False
     return verify_barycenter(sys, decode_point(sys, payload["x"]),
-                             payload["X"], p, q,
+                             X, p, q,
                              decode_scalar(payload["epsilon"]),
                              payload["n1"], payload["n2"])
 
@@ -289,8 +313,7 @@ def _replay_falsify(sys, payload: dict) -> bool:
         if "tracer" not in payload:
             return True
         tracer = decode_point(sys, payload["tracer"])
-        devs = _tracer_deviations(sys, po, tracer, po.index_range[0])
-        return all(d < eps for d in devs)
+        return _max_tracer_deviation(sys, po, tracer, po.index_range[0]) < eps
     cert = payload["certificate"]
     if "gridSize" in cert:
         grid = cert["gridSize"]

@@ -4,14 +4,17 @@ Each system exposes the same minimal surface: ``apply(x, k)`` iterates the
 map (negative k uses the inverse), ``distance(x, y)`` evaluates the metric
 exactly in exact modes, and ``validate_point(x)`` rejects points that do not
 belong to the space.  Everything downstream (pseudo-orbits, shadowing, the
-specification construction) is written against this surface only.
+specification construction) is written against this surface only, except
+that exact tori also offer ``max_jump`` and ``max_orbit_deviation``: the
+same maxima of ``distance`` over ``apply``, on integers, for pseudo-orbit
+gaps and replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -406,6 +409,26 @@ def _det(M) -> int:
     return total
 
 
+def _sq_dist_to_int(D: int, u: int, v: int, den: int) -> tuple[int, int]:
+    """Squared distance from (u + v*sqrt(D)) / den to the nearest integer.
+
+    Returns (p, q) with the square equal to (p + q*sqrt(D)) / den^2, den > 0.
+    The nearest integer is floor(x + 1/2), which one isqrt settles: for
+    v != 0, 2*v*sqrt(D) is irrational and lies strictly between s and s + 1
+    (or -s - 1 and -s).  For v = 0 a tie at 1/2 gives the same |w| on
+    either side.
+    """
+    vvD = v * v * D
+    if v == 0:
+        n = (2 * u + den) // (2 * den)
+    elif v > 0:
+        n = (2 * u + den + isqrt(4 * vvD)) // (2 * den)
+    else:
+        n = (2 * u + den - isqrt(4 * vvD) - 1) // (2 * den)
+    w = u - n * den
+    return w * w + vvD, 2 * w * v
+
+
 def _adjugate(M):
     d = len(M)
     cof = []
@@ -564,6 +587,78 @@ class ToralAutomorphism:
             w = abs(t) if t.value <= 0.5 else abs(1 - t)
             total = total + w * w
         return total.sqrt()
+
+    # -- exact integer lane ---------------------------------------------------
+    #
+    # An exact coordinate (p + q*sqrt(D)) / r is the integer pair (p, q) over
+    # r.  Over one common denominator the map acts on the rational and the
+    # sqrt(D) parts as two integer vectors, without reduction mod 1: the
+    # nearest-integer kernel absorbs the lattice translate.  Every squared
+    # distance is then an integer pair over den^2, and the largest one is
+    # picked by the exact sign of a difference of pairs.
+
+    def _integer_vectors(self, points):
+        """(den, u, v) with point i equal to (u[i] + v[i]*sqrt(D)) / den."""
+        for x in points:
+            self.validate_point(x)
+        den = lcm(*(c.r for x in points for c in x.coords))
+        u = [tuple(c.p * (den // c.r) for c in x.coords) for x in points]
+        v = [tuple(c.q * (den // c.r) for c in x.coords) for x in points]
+        return den, u, v
+
+    def _max_sq_pair(self, pairs):
+        D = self.D
+        best = None
+        for p, q in pairs:
+            if best is None or \
+               QuadraticNumber(D, p - best[0], q - best[1]).sign() > 0:
+                best = (p, q)
+        return best
+
+    def _require_exact(self):
+        if self.mode != "exact":
+            raise UnsupportedSystemError(
+                "the integer lane needs exact coordinates")
+
+    def max_jump(self, points) -> SqrtVal | Fraction:
+        """max_i d(f(y_i), y_{i+1}) over consecutive points; 0 for one point."""
+        self._require_exact()
+        if len(points) < 2:
+            return Fraction(0)
+        D = self.D
+        den, us, vs = self._integer_vectors(points)
+        (a, b), (c, d) = self.matrix
+
+        def jumps():
+            for (u0, u1), (v0, v1), (x0, x1), (y0, y1) in \
+                    zip(us, vs, us[1:], vs[1:]):
+                p0, q0 = _sq_dist_to_int(D, a * u0 + b * u1 - x0,
+                                         a * v0 + b * v1 - y0, den)
+                p1, q1 = _sq_dist_to_int(D, c * u0 + d * u1 - x1,
+                                         c * v0 + d * v1 - y1, den)
+                yield p0 + p1, q0 + q1
+
+        p, q = self._max_sq_pair(jumps())
+        return SqrtVal(QuadraticNumber(D, p, q, den * den))
+
+    def max_orbit_deviation(self, x: TorusPoint, points) -> SqrtVal:
+        """max_n d(f^n(x), y_n) over the points y_0, y_1, ..."""
+        self._require_exact()
+        D = self.D
+        den, us, vs = self._integer_vectors([x, *points])
+        (a, b), (c, d) = self.matrix
+
+        def deviations():
+            (u0, u1), (v0, v1) = us[0], vs[0]
+            for (x0, x1), (y0, y1) in zip(us[1:], vs[1:]):
+                p0, q0 = _sq_dist_to_int(D, u0 - x0, v0 - y0, den)
+                p1, q1 = _sq_dist_to_int(D, u1 - x1, v1 - y1, den)
+                yield p0 + p1, q0 + q1
+                u0, u1 = a * u0 + b * u1, c * u0 + d * u1
+                v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+
+        p, q = self._max_sq_pair(deviations())
+        return SqrtVal(QuadraticNumber(D, p, q, den * den))
 
     def diameter(self) -> Fraction:
         return Fraction(self.dim, 1)  # loose bound; only order of magnitude matters

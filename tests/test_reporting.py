@@ -4,15 +4,29 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from shadowspec.codecs import decode_point, decode_scalar, encode_point, encode_scalar
 from shadowspec.config import parse_config
 from shadowspec.errors import SchemaMismatchError
+from shadowspec.pseudo_orbits import (
+    PseudoOrbit,
+    from_true_orbit,
+    max_metric,
+    perturb,
+    perturbed_orbit,
+)
 from shadowspec.reporting import (
     SCHEMA_VERSION,
     ReportRecord,
+    _max_tracer_deviation,
+    _rebuild_pseudo_orbit,
+    _tracer_deviations,
     expected_periodic_count,
     jsonl_to_records,
     plot_csv,
@@ -24,9 +38,13 @@ from shadowspec.reporting import (
     system_from_description,
 )
 from shadowspec.runner import run_check
+from shadowspec.scalars import QuadraticNumber, SqrtVal
+from shadowspec.shadowing import shadow
 from shadowspec.systems import (
     CircleRotation,
     PermutationSystem,
+    ToralAutomorphism,
+    _sq_dist_to_int,
     cat_map,
     full_shift,
     golden_mean_shift,
@@ -197,3 +215,210 @@ def test_replay_skips_non_pass_records(shadow_records):
     failed = dataclasses.replace(rec, outcome="fail",
                                  witness_payload={"junk": True})
     assert replay_verify([failed, *shadow_records])
+
+
+# -- exact toral replay: the integer lane against the generic walk ------------
+
+TORAL_SHADOW_CFG = (
+    "system.kind = toral\n"
+    "system.matrix = 2 1 ; 1 1\n"
+    "check.kind = check-shadowing\n"
+    "check.delta = 1e-6\n"
+    "check.epsilonFactor = 1001/1000\n"
+    "check.count = 2\n"
+    "check.length = 60\n"
+    "check.seed = 5\n"
+)
+
+TORAL_MATRICES = {
+    "cat": ((2, 1), (1, 1)),
+    "D12": ((3, 1), (2, 1)),
+    "det-1": ((1, 1), (1, 0)),
+}
+
+
+def _generic_gap(sys, points):
+    return max_metric(sys.distance(sys.apply(y), z)
+                      for y, z in zip(points, points[1:]))
+
+
+def _generic_max_deviation(sys, po, tracer, start):
+    return max_metric(_tracer_deviations(sys, po, tracer, start))
+
+
+def _toral_cases(name):
+    """(system, pseudo-orbit points, tracer) for each kind of orbit."""
+    sys = ToralAutomorphism(TORAL_MATRICES[name])
+    x = sys.point(Fraction(3, 17), Fraction(5, 11))
+    po = perturbed_orbit(sys, x, 0, 40, Fraction(1, 10**6), 7)
+    tracer = shadow(sys, po, Fraction(1, 100)).tracer  # irrational
+    true_orbit = from_true_orbit(sys, tracer, 0, 40)
+    # jitter on an irrational orbit keeps irrational points
+    irr = perturb(sys, true_orbit, Fraction(1, 10**6), 3)
+    other = sys.point(tracer.coords[0] + Fraction(1, 10**5), tracer.coords[1])
+    return sys, {
+        "perturbed": (po.points, tracer),
+        "true-irrational": (true_orbit.points, tracer),
+        "true-irrational-off": (true_orbit.points, other),
+        "perturbed-irrational": (irr.points, other),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(TORAL_MATRICES))
+def test_integer_lane_matches_generic_walk(name):
+    sys, cases = _toral_cases(name)
+    for label, (points, tracer) in cases.items():
+        assert encode_scalar(sys.max_jump(points)) == \
+            encode_scalar(_generic_gap(sys, points)), label
+        for a, start in itertools.product((0, -3, 4), repeat=2):
+            po = PseudoOrbit(sys, a, points)
+            lane = _max_tracer_deviation(sys, po, tracer, start)
+            generic = _generic_max_deviation(sys, po, tracer, start)
+            assert encode_scalar(lane) == encode_scalar(generic), (label, a, start)
+
+
+@pytest.mark.parametrize("name", sorted(TORAL_MATRICES))
+def test_integer_lane_half_ties_and_one_point(name):
+    sys = ToralAutomorphism(TORAL_MATRICES[name])
+    origin = sys.point(0, 0)
+    half = Fraction(1, 2)
+    # differences of +1/2 and -1/2 in each coordinate: rational ties
+    for points in ([origin, sys.point(half, 0)],
+                   [sys.point(half, half), origin],
+                   [origin, sys.point(0, half), sys.point(half, Fraction(1, 3))]):
+        assert encode_scalar(sys.max_jump(points)) == \
+            encode_scalar(_generic_gap(sys, points))
+        po = PseudoOrbit(sys, 0, points)
+        for tracer in (origin, sys.point(half, half)):
+            assert encode_scalar(_max_tracer_deviation(sys, po, tracer, 0)) == \
+                encode_scalar(_generic_max_deviation(sys, po, tracer, 0))
+    lone = sys.point(Fraction(1, 3), Fraction(2, 5))
+    assert sys.max_jump([lone]) == 0
+    assert encode_scalar(sys.max_jump([lone])) == \
+        encode_scalar(_generic_gap(sys, [lone]))
+    po = PseudoOrbit(sys, 0, [lone])
+    assert encode_scalar(po.gap) == "0"
+    assert encode_scalar(_max_tracer_deviation(sys, po, origin, 0)) == \
+        encode_scalar(_generic_max_deviation(sys, po, origin, 0))
+
+
+def test_nearest_integer_kernel_matches_field_arithmetic():
+    rng = random.Random(12)
+    for D in (5, 12, 13):
+        for _ in range(300):
+            den = rng.randrange(1, 50)
+            u = rng.randrange(-200, 200)
+            v = rng.choice((0, rng.randrange(-9, 10)))
+            x = QuadraticNumber(D, u, v, den)
+            t = x.mod1()
+            w = min(t, 1 - t)
+            p, q = _sq_dist_to_int(D, u, v, den)
+            assert QuadraticNumber(D, p, q, den * den) == w * w, (D, u, v, den)
+
+
+@pytest.fixture(scope="module")
+def toral_shadow_records():
+    records = run_check(parse_config(TORAL_SHADOW_CFG))
+    assert [r.outcome for r in records] == ["pass", "pass"]
+    return records
+
+
+def _forge(rec, **fields):
+    return dataclasses.replace(
+        rec, witness_payload={**rec.witness_payload, **fields})
+
+
+def _rejected(rec) -> bool:
+    try:
+        return not replay_verify_record(rec)
+    except SchemaMismatchError:
+        return True
+
+
+def test_toral_replay_verifies_genuine_records(toral_shadow_records):
+    assert replay_verify(toral_shadow_records)
+
+
+def test_toral_replay_rejects_every_tampered_field(toral_shadow_records):
+    sys = cat_map()
+    for rec in toral_shadow_records:
+        pl = rec.witness_payload
+        po = _rebuild_pseudo_orbit(sys, pl["pseudoOrbit"])
+        gap = po.gap
+        tracer = decode_point(sys, pl["tracer"])
+        nudged = sys.point(tracer.coords[0] + Fraction(1, 10**9),
+                           tracer.coords[1])
+        below_gap = SqrtVal(gap.radicand - Fraction(1, 10**40))
+        forged = [
+            _forge(rec, tracer=encode_point(sys, nudged)),
+            _forge(rec, maxDeviation=encode_scalar(
+                decode_scalar(pl["maxDeviation"]) * Fraction(1001, 1000))),
+            _forge(rec, epsilon=pl["maxDeviation"]),
+            _forge(rec, delta=encode_scalar(below_gap)),
+            _forge(rec, start=pl["start"] + 1),
+            _forge(rec, start=pl["start"] - 3),
+            _forge(rec, pseudoOrbit={**pl["pseudoOrbit"],
+                                     "seed": pl["pseudoOrbit"]["seed"] + 1}),
+        ]
+        assert replay_verify_record(rec)
+        assert all(_rejected(f) for f in forged)
+
+
+BARYCENTER_CFG = (
+    "system.kind = sft\n"
+    "system.transition = 11;11\n"
+    "check.kind = barycenter\n"
+    "check.p = 0~-~0@0\n"
+    "check.q = 1~-~1@0\n"
+    "check.epsilon = 1/8\n"
+    "check.n1 = 20\n"
+    "check.n2 = 20\n"
+)
+
+
+def test_barycenter_replay_checks_times_agree():
+    (rec,) = run_check(parse_config(BARYCENTER_CFG))
+    pl = rec.witness_payload
+    assert rec.outcome == "pass" and replay_verify_record(rec)
+    assert pl["X"] == pl["N"] == 2 * pl["N1"]
+    assert _rejected(_forge(rec, X=pl["X"] + 2))
+    assert _rejected(_forge(rec, N=pl["N"] + 2))
+    assert _rejected(_forge(rec, N1=pl["N1"] + 1))
+
+
+def test_barycenter_replay_checks_period_divisibility():
+    # p of period 2, q fixed: the half-time must be a multiple of 2
+    cfg = BARYCENTER_CFG.replace("check.p = 0~-~0@0", "check.p = 01~-~01@0")
+    (rec,) = run_check(parse_config(cfg))
+    pl = rec.witness_payload
+    assert rec.outcome == "pass" and replay_verify_record(rec)
+    assert pl["N1"] % 2 == 0
+    odd = pl["N1"] + 1
+    assert _rejected(_forge(rec, X=2 * odd, N=2 * odd, N1=odd))
+
+
+SPEC_CFG = (
+    "system.kind = sft\n"
+    "system.transition = 11;11\n"
+    "check.kind = spec\n"
+    "check.epsilon = 1/8\n"
+    "check.count = 3\n"
+    "check.maxSegments = 3\n"
+    "check.maxLength = 8\n"
+    "check.levels = 1 2\n"
+    "check.seed = 404\n"
+)
+
+
+def test_spec_replay_checks_bracket_against_thresholds():
+    records = run_check(parse_config(SPEC_CFG))
+    assert all(r.outcome == "pass" for r in records)
+    for rec in records:
+        pl = rec.witness_payload
+        assert replay_verify_record(rec)
+        assert pl["lo"] == pl["thresholds"][pl["level"] - 1]
+        assert pl["hi"] == pl["thresholds"][pl["level"]]
+        assert _rejected(_forge(rec, lo=pl["lo"] - 1))
+        assert _rejected(_forge(rec, hi=pl["hi"] + 1))
+        assert _rejected(_forge(rec, level=0))
+        assert _rejected(_forge(rec, level=len(pl["thresholds"])))
