@@ -20,6 +20,7 @@ from .systems import (
     CircleRotation,
     PermutationSystem,
     ShiftSpace,
+    SymbolicPoint,
     ToralAutomorphism,
     TorusPoint,
 )
@@ -28,6 +29,10 @@ from .systems import (
 # allowed magnitude; a fixed denominator keeps all orbit points on one common
 # denominator so downstream exact arithmetic stays cheap.
 _JITTER_STEPS = 1 << 16
+
+# A shift perturbation flips symbols on two runs of indices, each
+# _FLIP_SPAN + 1 long, just outside the window the gap budget protects.
+_FLIP_SPAN = 8
 
 
 def max_metric(values, zero=Fraction(0)):
@@ -149,8 +154,7 @@ def _perturb_rotation(sys: CircleRotation, po: PseudoOrbit, delta, rng):
                        [sys.point(p + _jitter(rng, h)) for p in po.points])
 
 
-def _perturb_sft(sys: ShiftSpace, po: PseudoOrbit, delta, rng,
-                 flip_span: int = 8):
+def _perturb_sft(sys: ShiftSpace, po: PseudoOrbit, delta, rng):
     # Flipping symbols at index <= -k or >= k+1 keeps every flip at distance
     # >= k from index 0 even after the one-step shift inside the gap
     # computation, so the gap stays <= 2^-k <= delta.
@@ -159,20 +163,45 @@ def _perturb_sft(sys: ShiftSpace, po: PseudoOrbit, delta, rng,
         k += 1
         if k > 64:
             return po  # delta below representable flip depth; nothing to do
+    flips = [*range(-k - _FLIP_SPAN, -k + 1),
+             *range(k + 1, k + _FLIP_SPAN + 2)]
+    T = sys.transition
+    alphabet = range(sys.alphabet_size)
     out = []
     for p in po.points:
-        q = p
-        for j in [*range(-k - flip_span, -k + 1),
-                  *range(k + 1, k + flip_span + 2)]:
+        # All flips go to one window list w, w[0] at index `base`.  A
+        # neighbour flipped earlier is read with its new symbol, as if each
+        # flip built its own point.  [start, end) follows the core span such
+        # a flip-by-flip rebuild would canonicalize to, so the one point
+        # built at the end is that rebuild's point, offset included.
+        s0, e0 = start, end = p.core_span()
+        base = min(start, flips[0] - 1)
+        w = list(p.window(base, max(end, flips[-1] + 2) - 1))
+        P, Q = len(p.left), len(p.right)
+        flipped = False
+        for j in flips:
             if not rng.getrandbits(1):
                 continue
-            old = q.symbol(j)
-            allowed = [s for s in range(sys.alphabet_size)
-                       if s != old
-                       and sys.transition[q.symbol(j - 1)][s]
-                       and sys.transition[s][q.symbol(j + 1)]]
-            if allowed:
-                q = q.with_symbol(j, allowed[rng.randrange(len(allowed))])
+            i = j - base
+            old, before, after = w[i], w[i - 1], w[i + 1]
+            allowed = [s for s in alphabet
+                       if s != old and T[before][s] and T[s][after]]
+            if not allowed:
+                continue
+            w[i] = allowed[rng.randrange(len(allowed))]
+            flipped = True
+            # Strip the widened core where it agrees with a tail, as
+            # SymbolicPoint's canonical form does.
+            lo, end = min(start, j), max(end, j + 1)
+            while end > lo and w[end - 1 - base] == p.right[(end - 1 - e0) % Q]:
+                end -= 1
+            start = lo
+            while start < end and w[start - base] == p.left[(start - s0) % P]:
+                start += 1
+        q = p
+        if flipped:
+            left, right = p.tails_at(start, end)
+            q = SymbolicPoint(left, w[start - base:end - base], right, -start)
         sys.validate_point(q)
         out.append(q)
     return PseudoOrbit(sys, po.start, out)

@@ -358,9 +358,9 @@ def replay_verify_record(record: ReportRecord) -> bool:
 
     Only the verification half of the check is repeated; nothing is
     searched for again.  A record whose digest does not match its own
-    system description, or whose schema version is foreign, raises
-    SchemaMismatchError instead of returning False: it cannot be
-    interpreted at all.
+    system description, whose schema version is foreign, or whose payload
+    lacks a field or holds one of the wrong type raises SchemaMismatchError
+    instead of returning False: it cannot be interpreted at all.
     """
     if record.schema_version != SCHEMA_VERSION:
         raise SchemaMismatchError(
@@ -376,7 +376,9 @@ def replay_verify_record(record: ReportRecord) -> bool:
         raise SchemaMismatchError(f"unknown check kind {record.check_kind!r}")
     try:
         return replayer(sys, record.witness_payload)
-    except (ShadowspecError, KeyError, TypeError, ValueError):
+    except (KeyError, TypeError) as exc:
+        raise SchemaMismatchError(f"unreadable payload: {exc!r}") from None
+    except (ShadowspecError, ValueError):
         return False
 
 

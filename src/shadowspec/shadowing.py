@@ -130,15 +130,10 @@ def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
     _, eb = yb.core_span()
     lo = min(sa, 0)
     hi = max(eb, 1)
-    core = ([ya.symbol(n) for n in range(lo, 0)]
-            + [p.symbol(0) for p in po.points]
-            + [yb.symbol(n) for n in range(1, hi)])
-    p = len(ya.left)
-    ls = (lo + ya.offset) % p
-    left = ya.left[ls:] + ya.left[:ls]
-    q = len(yb.right)
-    rs = (hi + yb.offset - len(yb.core)) % q
-    right = yb.right[rs:] + yb.right[:rs]
+    core = (ya.window(lo, -1) + tuple(p.symbol(0) for p in po.points)
+            + yb.window(1, hi - 1))
+    left, _ = ya.tails_at(lo, hi)
+    _, right = yb.tails_at(lo, hi)
     tracer = SymbolicPoint(left, core, right, -(a + lo))
     try:
         sys.validate_point(tracer)

@@ -36,6 +36,11 @@ def _primitive(word: Word) -> Word:
     return word
 
 
+def _cycle(word: Word, phase: int, n: int) -> Word:
+    """n symbols of the periodic repetition of ``word``, from ``word[phase]``."""
+    return (word * ((phase + n) // len(word) + 1))[phase:phase + n]
+
+
 class SymbolicPoint:
     """An eventually periodic bi-infinite symbol sequence.
 
@@ -105,8 +110,19 @@ class SymbolicPoint:
         return self.right[i % len(self.right)]
 
     def window(self, a: int, b: int) -> Word:
-        """Symbols at indices a..b inclusive."""
-        return tuple(self.symbol(n) for n in range(a, b + 1))
+        """Symbols at indices a..b inclusive, sliced from tails and core."""
+        if b < a:
+            return ()
+        start, end = self.core_span()
+        out = ()
+        if a < start:
+            out = _cycle(self.left, (a - start) % len(self.left),
+                         min(b + 1, start) - a)
+        out += self.core[max(a, start) - start:max(b + 1 - start, 0)]
+        if b >= end:
+            lo = max(a, end)
+            out += _cycle(self.right, (lo - end) % len(self.right), b + 1 - lo)
+        return out
 
     def shifted(self, k: int) -> "SymbolicPoint":
         return SymbolicPoint(self.left, self.core, self.right, self.offset + k)
@@ -124,14 +140,23 @@ class SymbolicPoint:
         """
         start, end = self.core_span()
         lo, hi = min(start, n), max(end, n + 1)
-        symbols = [self.symbol(i) for i in range(lo, hi)]
+        symbols = list(self.window(lo, hi - 1))
         symbols[n - lo] = symbol
-        p, q = len(self.left), len(self.right)
-        ls = (lo + self.offset) % p
-        rs = (hi + self.offset - len(self.core)) % q
-        left = self.left[ls:] + self.left[:ls]
-        right = self.right[rs:] + self.right[:rs]
+        left, right = self.tails_at(lo, hi)
         return SymbolicPoint(left, tuple(symbols), right, -lo)
+
+    def tails_at(self, lo: int, hi: int) -> tuple[Word, Word]:
+        """The tail words rotated to run left from ``lo`` and right from ``hi``.
+
+        A point whose core spans [lo, hi), with lo at most and hi at least
+        this point's core span, realizes this point's sequence outside
+        [lo, hi) when it takes these tails.
+        """
+        start, end = self.core_span()
+        ls = (lo - start) % len(self.left)
+        rs = (hi - end) % len(self.right)
+        return (self.left[ls:] + self.left[:ls],
+                self.right[rs:] + self.right[:rs])
 
     def scan_bound(self, other: "SymbolicPoint") -> int:
         """Window radius that certifies equality if no mismatch appears.

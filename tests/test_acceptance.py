@@ -6,6 +6,7 @@ from the stored switch times, and closed-form counts are recomputed from
 scratch, so a regression in the library cannot hide behind its own reporting.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,42 @@ NAMES = (
     "c7_periodic",
     "c8_rotation", "c8_reducible",
 )
+
+# sha256 of each shipped config's canonical JSONL at its config seed.  A
+# change that keeps these has changed no record; one that moves a digest on
+# purpose updates it here and says why.
+GOLDEN_SHA256 = {
+    "c1_full_shift":
+        "221d952ec1c67d729b11ba8105709755cbf7605da5bc3889a209db9c17f3aedd",
+    "c1_golden_mean":
+        "5e30e0f576cdacaef238e6b90f844bd91352c46248b490201084ea37e43c316a",
+    "c2_cat":
+        "35212a2f137dbdbb6494cd5803b9448d6eb1eccb2eb30e3fb08e3951beae22ca",
+    "c3_exhaustive":
+        "f03b43e57d812784720deece37d638bf8b5a807430e44e63dc51477367a910ab",
+    "c4_spec_shift":
+        "f61956c61333b2d9461a0a0ce112535b20af259d8266492033fbcda51eb6a3de",
+    "c4_spec_cat":
+        "84a24907f928bef832b4db75f7e812f7b279bbbb133ae6966ec2cb039754855b",
+    "c5_cat_fixed":
+        "034007994debb7ee64599018c2ccab7f21c0c892afd37893c983901fbef77321",
+    "c5_cat_mixed":
+        "2f3f290e42139d4e2872521a20ee1bab92ae3c0738b41007f955b5b965d4f06c",
+    "c5_shift":
+        "6c49119d6c947ae9d4ac6a566528568b8dcfd3cc12106cd49d877165337ce56b",
+    "c6_cat_fixed":
+        "7ce610999a0cfa05ad4420d2bf4cdf9c5ad65139404fec76dc585c3870ee1071",
+    "c6_cat_mixed":
+        "0034aa4a3e86a4139faf5e9ac52d51df6a5a7bf79ed7174e855c0a555d1e3fac",
+    "c6_shift":
+        "0b35767c8192140df071dd99f1dc23b662136b213984ccd68d80d388da3a680d",
+    "c7_periodic":
+        "19cda2bb195568f413d86369267de9d8c5cbf82459dd7fb09da1b831173cc094",
+    "c8_rotation":
+        "5138f099fff4ddc30a5f85faea11f484f7de7ff0629a111366bce42777db5e24",
+    "c8_reducible":
+        "dd3461c563fcfcc3b71f8d6e1a6523aece21ac164faf8557c033a756ed830749",
+}
 
 
 class Run:
@@ -317,3 +354,10 @@ def test_criterion_9_determinism_and_replay(runs):
     ok = stable and verified
     _verdict(9, ok, f"{len(everything)} records byte-stable across reruns "
              f"and re-verified from payloads")
+
+
+def test_shipped_config_digests(runs):
+    moved = [name for name in NAMES
+             if hashlib.sha256(runs[name].jsonl.encode()).hexdigest()
+             != GOLDEN_SHA256[name]]
+    assert not moved, f"canonical JSONL digests moved: {moved}"

@@ -184,6 +184,14 @@ def test_replay_flags_tampered_payload(report_file, capsys):
     assert out[1].endswith("verified")
 
 
+def test_replay_rejects_unreadable_payload(report_file, capsys):
+    lines = [json.loads(s) for s in report_file.read_text().splitlines()]
+    del lines[0]["witnessPayload"]["tracer"]
+    report_file.write_text("\n".join(json.dumps(d) for d in lines))
+    assert main(["replay", str(report_file)]) == 2
+    assert "schema-mismatch" in capsys.readouterr().err
+
+
 def test_replay_rejects_foreign_digest(report_file, capsys):
     lines = [json.loads(s) for s in report_file.read_text().splitlines()]
     lines[0]["systemDigest"] = "0" * 64

@@ -1,13 +1,17 @@
 """Pseudo-orbits: gaps, seeded perturbation, fast orbit generation, gluing."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowspec.codecs import encode_point
 from shadowspec.errors import CalibrationError
 from shadowspec.pseudo_orbits import (
+    _FLIP_SPAN,
     PseudoOrbit,
+    _perturb_sft,
     concatenate,
     from_true_orbit,
     max_metric,
@@ -18,6 +22,7 @@ from shadowspec.scalars import SqrtVal
 from shadowspec.systems import (
     CircleRotation,
     PermutationSystem,
+    ShiftSpace,
     SymbolicPoint,
     cat_map,
     full_shift,
@@ -117,6 +122,107 @@ class TestPerturb:
         po = PseudoOrbit(rot, 0, (Fraction(0), Fraction(1, 2)))
         with pytest.raises(CalibrationError):
             perturb(rot, po, Fraction(1, 100), 0)
+
+
+def _perturb_sft_by_flips(sys, po, delta, rng):
+    """Slow oracle for ``_perturb_sft``: one ``with_symbol`` rebuild per flip."""
+    k = 0
+    while Fraction(1, 2**k) > delta:
+        k += 1
+    out = []
+    for p in po.points:
+        q = p
+        for j in [*range(-k - _FLIP_SPAN, -k + 1),
+                  *range(k + 1, k + _FLIP_SPAN + 2)]:
+            if not rng.getrandbits(1):
+                continue
+            old = q.symbol(j)
+            allowed = [s for s in range(sys.alphabet_size)
+                       if s != old
+                       and sys.transition[q.symbol(j - 1)][s]
+                       and sys.transition[s][q.symbol(j + 1)]]
+            if allowed:
+                q = q.with_symbol(j, allowed[rng.randrange(len(allowed))])
+        sys.validate_point(q)
+        out.append(q)
+    return PseudoOrbit(sys, po.start, out)
+
+
+def _assert_same_perturbation(sys, po, delta, rng_fast, rng_slow):
+    fast = _perturb_sft(sys, po, delta, rng_fast)
+    slow = _perturb_sft_by_flips(sys, po, delta, rng_slow)
+    assert [encode_point(sys, q) for q in fast.points] == \
+        [encode_point(sys, q) for q in slow.points]
+    assert fast.gap == slow.gap
+
+
+class _ScriptedRng:
+    """Answers getrandbits from a script and always picks the first symbol."""
+
+    def __init__(self, bits):
+        self.bits = iter(bits)
+
+    def getrandbits(self, n):
+        return next(self.bits)
+
+    def randrange(self, n):
+        return 0
+
+
+class TestPerturbSftOracle:
+    SYSTEMS = {
+        "full": full_shift(2),
+        "golden": golden_mean_shift(),
+        "sft3": ShiftSpace([[1, 1, 0], [0, 1, 1], [1, 1, 1]]),
+    }
+    STARTS = {
+        "full": [SymbolicPoint.periodic((0,)), SymbolicPoint.periodic((0, 1, 1)),
+                 SymbolicPoint((0,), (), (1,), 2),
+                 SymbolicPoint((0,), (1, 0, 1), (0,), -3)],
+        "golden": [SymbolicPoint.periodic((0,)), SymbolicPoint.periodic((0, 1)),
+                   SymbolicPoint((0,), (), (0, 1), -4)],
+        "sft3": [SymbolicPoint.periodic((1,)), SymbolicPoint.periodic((0, 1, 2)),
+                 SymbolicPoint((0,), (), (1,), 5)],
+    }
+
+    def _starts(self, name, rng):
+        sys_ = self.SYSTEMS[name]
+        starts = list(self.STARTS[name])
+        for _ in range(3):
+            word = [rng.randrange(sys_.alphabet_size)]
+            while len(word) < 6:
+                nxt = [s for s in range(sys_.alphabet_size)
+                       if sys_.transition[word[-1]][s]]
+                word.append(rng.choice(nxt))
+            starts.append(sys_.point_through(word, at=rng.randrange(-12, 12)))
+        return starts
+
+    @pytest.mark.parametrize("name", ["full", "golden", "sft3"])
+    def test_batched_flips_match_per_flip_rebuilds(self, name):
+        sys_ = self.SYSTEMS[name]
+        draw = random.Random(name)
+        for x in self._starts(name, draw):
+            sys_.validate_point(x)
+            base = from_true_orbit(sys_, x, -6, 6)
+            for k in range(9):
+                for _ in range(3):
+                    seed = draw.randrange(2**32)
+                    fast, slow = random.Random(seed), random.Random(seed)
+                    _assert_same_perturbation(sys_, base, Fraction(1, 2**k),
+                                              fast, slow)
+                    assert fast.getstate() == slow.getstate()
+
+    def test_span_follows_each_rebuild(self):
+        # Flips at 3 and 5 clear the core 101 on [3, 6).  A rebuild per flip
+        # strips the core to [5, 6) after the first flip, so the all-zero
+        # result sits at offset -5, not at the -3 of the starting core.
+        sys_ = full_shift(2)
+        po = PseudoOrbit(sys_, 0, (SymbolicPoint((0,), (1, 0, 1), (0,), -3),))
+        bits = [0] * 9 + [1, 0, 1] + [0] * 6
+        _assert_same_perturbation(sys_, po, Fraction(1, 4),
+                                  _ScriptedRng(bits), _ScriptedRng(bits))
+        q = _perturb_sft(sys_, po, Fraction(1, 4), _ScriptedRng(bits)).points[0]
+        assert encode_point(sys_, q) == "0~-~0@-5"
 
 
 class TestPerturbedOrbit:

@@ -210,6 +210,21 @@ def test_replay_rejects_future_schema(shadow_records):
         replay_verify_record(forged)
 
 
+def test_replay_reports_missing_field_as_unreadable(shadow_records):
+    rec = shadow_records[0]
+    payload = {k: v for k, v in rec.witness_payload.items() if k != "tracer"}
+    with pytest.raises(SchemaMismatchError, match="tracer"):
+        replay_verify_record(dataclasses.replace(rec, witness_payload=payload))
+
+
+def test_replay_reports_wrong_field_type_as_unreadable(shadow_records):
+    rec = shadow_records[0]
+    forged = dataclasses.replace(
+        rec, witness_payload={**rec.witness_payload, "start": "zero"})
+    with pytest.raises(SchemaMismatchError):
+        replay_verify_record(forged)
+
+
 def test_replay_skips_non_pass_records(shadow_records):
     rec = shadow_records[0]
     failed = dataclasses.replace(rec, outcome="fail",

@@ -34,6 +34,20 @@ class TestSymbolicPoint:
         assert x.symbol(-100) == 0
         assert x.symbol(101) == 1 and x.symbol(102) == 0
 
+    @pytest.mark.parametrize("x", [
+        SymbolicPoint((0, 1, 1), (2, 0, 2, 2), (1, 2), 0),
+        SymbolicPoint((0, 1, 1), (2, 0, 2, 2), (1, 2), 5),
+        SymbolicPoint((0, 1, 1), (2, 0, 2, 2), (1, 2), -7),
+        SymbolicPoint((0,), (), (1, 0, 1), 3),
+        SymbolicPoint.periodic((0, 1, 2)),
+    ])
+    def test_window_matches_symbols(self, x):
+        # ranges inside one tail, across the core into both tails, around
+        # an empty core, at negative offsets, and empty ones with b < a
+        for a in range(-17, 18):
+            for b in range(a - 2, 18):
+                assert x.window(a, b) == tuple(x.symbol(n) for n in range(a, b + 1))
+
     def test_shift_moves_the_origin(self):
         x = SymbolicPoint((0,), (1,), (0,), 0)
         y = x.shifted(2)
