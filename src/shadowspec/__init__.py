@@ -50,10 +50,8 @@ from .reporting import (
 )
 from .runner import run_check
 from .scalars import (
-    FloatTol,
     QuadraticNumber,
     SqrtVal,
-    as_float,
     format_exact,
     parse_exact,
     parse_quadratic,

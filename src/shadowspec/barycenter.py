@@ -107,9 +107,6 @@ def periodic_points(sys, k: int, bound: int = PERIOD_BOUND):
                                  _minimal_word_period(word)))
         return out
     if isinstance(sys, ToralAutomorphism):
-        if sys.mode != "exact" or sys.dim != 2:
-            raise UnsupportedSystemError(
-                "periodic-point enumeration needs an exact 2x2 toral system")
         M = sys.matrix_power(k)
         b00, b01 = M[0][0] - 1, M[0][1]
         b10, b11 = M[1][0], M[1][1] - 1
@@ -246,9 +243,6 @@ def heteroclinic_point(sys, p: HyperbolicPeriodicPoint,
                        q: HyperbolicPeriodicPoint):
     """A point of W^u(orbit of p) intersected with W^s(orbit of q)."""
     if isinstance(sys, ToralAutomorphism):
-        if sys.mode != "exact" or sys.dim != 2:
-            raise UnsupportedSystemError(
-                "heteroclinic solving needs an exact 2x2 toral system")
         return _heteroclinic_toral(sys, p, q)[0]
     if isinstance(sys, ShiftSpace):
         return _heteroclinic_sft(sys, p, q)[0]
@@ -339,7 +333,8 @@ def barycenter_point(sys, p: HyperbolicPeriodicPoint,
     N_1 is the least positive common multiple of the two periods such
     that the heteroclinic point z stays epsilon-close to the orbit of p
     at all times <= -N_1 and to the orbit of q at all times >= N_1; the
-    result is then re-verified directly on the requested index ranges.
+    result is then re-verified directly on the requested index ranges
+    with ``verify_barycenter``.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -361,25 +356,9 @@ def barycenter_point(sys, p: HyperbolicPeriodicPoint,
     n1 = step * -(-need // step)
     x = sys.apply(z, -n1)
     X = 2 * n1
-
-    cur = sys.apply(x, -n_1)
-    anc = sys.apply(p.point, -n_1)
-    for i in range(-n_1, 1):
-        if not sys.distance(cur, anc) < epsilon:
-            raise InternalInvariantError(
-                f"backward deviation at index {i} reached epsilon")
-        if i < 0:
-            cur = sys.apply(cur)
-            anc = sys.apply(anc)
-    cur = sys.apply(x, X)
-    anc = q.point
-    for i in range(0, n_2 + 1):
-        if not sys.distance(cur, anc) < epsilon:
-            raise InternalInvariantError(
-                f"forward deviation at index {i} reached epsilon")
-        if i < n_2:
-            cur = sys.apply(cur)
-            anc = sys.apply(anc)
+    if not verify_barycenter(sys, x, X, p, q, epsilon, n_1, n_2):
+        raise InternalInvariantError(
+            "barycenter point deviates by epsilon on the checked ranges")
     return BarycenterResult(x, X, X, epsilon, n_1, n_2, p, q)
 
 

@@ -2,14 +2,12 @@
 
 Formats (one per system family):
   sft point      left~core~right@offset, each part a digit string, "-" empty
-  toral exact    one a+b√D literal per coordinate, comma separated
-  toral float    value±err decimals per coordinate, comma separated
+  toral          one a+b√D literal per coordinate, comma separated
   rotation       p/q
   permutation    integer
 
 Scalars round-trip through a small tagged grammar: rationals as p/q or
-decimals, field elements as a+b√D, square roots as sqrt(<radicand>), and
-tracked floats as value±err.
+decimals, field elements as a+b√D, and square roots as sqrt(<radicand>).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from fractions import Fraction
 
 from .errors import MalformedPointError
 from .scalars import (
-    FloatTol,
     QuadraticNumber,
     SqrtVal,
     format_exact,
@@ -39,8 +36,6 @@ def encode_scalar(x) -> str:
         return f"sqrt({encode_scalar(x.radicand)})"
     if isinstance(x, QuadraticNumber):
         return str(x)
-    if isinstance(x, FloatTol):
-        return f"{x.value!r}±{x.err!r}"
     if isinstance(x, (int, Fraction)):
         return format_exact(x)
     raise TypeError(f"no scalar encoding for {type(x).__name__}")
@@ -50,9 +45,6 @@ def decode_scalar(text: str, D: int = 0):
     text = text.strip()
     if text.startswith("sqrt(") and text.endswith(")"):
         return SqrtVal(decode_scalar(text[5:-1], D))
-    if "±" in text:
-        value, _, err = text.partition("±")
-        return FloatTol(float(value), float(err))
     if "√" in text:
         radicand = int(text.rpartition("√")[2])
         return parse_quadratic(text, radicand if D == 0 else D)

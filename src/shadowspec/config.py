@@ -30,7 +30,7 @@ CHECK_KINDS = (
     "falsify-shadowing",
 )
 
-_SYSTEM_KEYS = {"kind", "matrix", "mode", "transition", "angle", "images"}
+_SYSTEM_KEYS = {"kind", "matrix", "transition", "angle", "images"}
 _INT_KEYS = {"seed", "count", "length", "width", "level", "maxSegments",
              "maxLength", "n1", "n2", "maxDepth", "maxPeriod", "horizon",
              "budget"}
@@ -83,8 +83,7 @@ def _build_system(entries: dict, lines: dict):
         if kind == "toral":
             if "matrix" not in entries:
                 raise ConfigError("config-invariant", _line("kind"), "toral systems need system.matrix")
-            return ToralAutomorphism(_parse_matrix(entries["matrix"], _line("matrix")),
-                                     mode=entries.get("mode"))
+            return ToralAutomorphism(_parse_matrix(entries["matrix"], _line("matrix")))
         if kind == "sft":
             if "transition" not in entries:
                 raise ConfigError("config-invariant", _line("kind"), "sft systems need system.transition")

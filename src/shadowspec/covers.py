@@ -112,7 +112,7 @@ def build_cover(sys, delta, budget: int = CELL_BUDGET) -> Cover:
 
     Shift spaces get one cylinder per admissible word on the window
     [-w, w] where 2^-w < delta; tori get a uniform dyadic grid of side s
-    with s * sqrt(d) < delta.
+    with s * sqrt(2) < delta.
     """
     if isinstance(sys, ShiftSpace):
         if not delta > 0:
@@ -135,29 +135,18 @@ def build_cover(sys, delta, budget: int = CELL_BUDGET) -> Cover:
             cells.append(CylinderCell(word, w, diam))
         return Cover(sys, delta, cells)
     if isinstance(sys, ToralAutomorphism):
-        if sys.mode != "exact":
-            raise UnsupportedSystemError("covers need exact toral systems")
-        d = sys.dim
         j = 0
-        while not SqrtVal(Fraction(d, 4**j)) < delta:
+        while not SqrtVal(Fraction(2, 4**j)) < delta:
             j += 1
-        if (2**j) ** d > budget:
-            raise BudgetExceededError(
-                f"a grid of side 2^-{j} needs {(2**j) ** d} cells, over "
-                f"the budget of {budget}")
-        side = Fraction(1, 2**j)
-        diam = SqrtVal(d * side * side)
         per = 2**j
-        cells = []
-        for flat in range(per**d):
-            pos = []
-            rem = flat
-            for _ in range(d):
-                rem, k = divmod(rem, per)
-                pos.append(k)
-            pos.reverse()
-            cells.append(BoxCell(tuple(Fraction(k, per) for k in pos),
-                                 side, diam))
+        if per * per > budget:
+            raise BudgetExceededError(
+                f"a grid of side 2^-{j} needs {per * per} cells, over "
+                f"the budget of {budget}")
+        side = Fraction(1, per)
+        diam = SqrtVal(2 * side * side)
+        cells = [BoxCell((Fraction(kx, per), Fraction(ky, per)), side, diam)
+                 for kx in range(per) for ky in range(per)]
         return Cover(sys, delta, cells)
     raise UnsupportedSystemError(
         f"no cover construction for {type(sys).__name__}")

@@ -79,12 +79,6 @@ class InternalInvariantError(ShadowspecError):
     code = "internal-invariant"
 
 
-class PrecisionError(ShadowspecError):
-    """Tracked floating-point error grew too large to decide an outcome."""
-
-    code = "precision"
-
-
 class SchemaMismatchError(ShadowspecError):
     """A report record does not match the schema or system it is replayed against."""
 

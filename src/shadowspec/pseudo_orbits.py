@@ -1,9 +1,9 @@
 """Finite pseudo-orbits: construction, perturbation, concatenation.
 
 A pseudo-orbit is a finite indexed sequence y_a..y_b whose jump errors
-d(f(y_n), y_{n+1}) stay below some delta.  Everything here is exact in exact
-modes: the gap is an exact scalar and recomputing it reproduces the cached
-value bit for bit.
+d(f(y_n), y_{n+1}) stay below some delta.  Everything here is exact: the gap
+is an exact scalar and recomputing it reproduces the cached value bit for
+bit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import CalibrationError, UnsupportedSystemError
-from .scalars import FloatTol, QuadraticNumber
+from .scalars import QuadraticNumber
 from .systems import (
     CircleRotation,
     PermutationSystem,
@@ -36,17 +36,8 @@ _FLIP_SPAN = 8
 
 
 def max_metric(values, zero=Fraction(0)):
-    """Maximum of metric values; FloatTol values compare by upper bound."""
-    best = None
-    for v in values:
-        if best is None:
-            best = v
-        elif isinstance(v, FloatTol):
-            if v.upper() > best.upper():
-                best = v
-        elif v > best:
-            best = v
-    return zero if best is None else best
+    """Maximum of metric values, or ``zero`` when there are none."""
+    return max(values, default=zero)
 
 
 @dataclass
@@ -91,30 +82,25 @@ class PseudoOrbit:
     def recompute_gap(self):
         """max_i d(f(y_i), y_{i+1}), re-derived from the points.
 
-        Exact tori take the integer lane (``ToralAutomorphism.max_jump``);
-        every other system takes the maximum of ``distance`` over ``apply``.
-        Both give the same exact value.
+        Tori take the integer lane (``ToralAutomorphism.max_jump``); every
+        other system takes the maximum of ``distance`` over ``apply``.  Both
+        give the same exact value.
         """
         sys = self.system
-        if isinstance(sys, ToralAutomorphism) and sys.mode == "exact":
+        if isinstance(sys, ToralAutomorphism):
             return sys.max_jump(self.points)
         jumps = [sys.distance(sys.apply(self.points[i]), self.points[i + 1])
                  for i in range(len(self.points) - 1)]
         return max_metric(jumps)
 
     def is_valid(self, delta) -> bool:
-        gap = self.gap
-        if isinstance(gap, FloatTol):
-            return not gap.definitely_gt(delta)
-        return gap <= delta
+        return self.gap <= delta
 
     def gap_rational(self) -> Fraction:
         """Rational upper bound on the gap, for perturbation budgets."""
         gap = self.gap
         if isinstance(gap, (Fraction, int)):
             return Fraction(gap)
-        if isinstance(gap, FloatTol):
-            return Fraction(gap.upper()).limit_denominator(10**15)
         guess = Fraction(float(gap)).limit_denominator(10**15)
         step = Fraction(1, 10**12)
         while not gap <= guess:
@@ -124,7 +110,7 @@ class PseudoOrbit:
 
 
 def from_true_orbit(sys, x, a: int, b: int) -> PseudoOrbit:
-    """The genuine orbit segment f^a(x)..f^b(x); gap 0 in exact modes."""
+    """The genuine orbit segment f^a(x)..f^b(x); its gap is 0."""
     if a > b:
         raise ValueError(f"empty index range [{a}, {b}]")
     pts = [sys.apply(x, a)]
@@ -140,7 +126,7 @@ def _jitter(rng: random.Random, h: Fraction) -> Fraction:
 
 def _perturb_toral(sys: ToralAutomorphism, po: PseudoOrbit, delta, rng):
     # Each point moves by at most h per coordinate; a jump then grows by at
-    # most sqrt(d) * h * (|A|_inf + 1) < delta - gap.
+    # most sqrt(2) * h * (|A|_inf + 1) < delta - gap.
     norm = max(sum(abs(v) for v in row) for row in sys.matrix)
     h = (delta - po.gap_rational()) / (2 * (norm + 1))
     pts = [sys.point(*[c + _jitter(rng, h) for c in p.coords])
@@ -223,10 +209,7 @@ def perturb(sys, po: PseudoOrbit, delta, seed: int) -> PseudoOrbit:
     """
     if delta == 0:
         return po
-    if isinstance(po.gap, FloatTol):
-        if po.gap.definitely_gt(delta):
-            raise CalibrationError(f"gap {po.gap} already exceeds delta {delta}")
-    elif not po.gap <= delta:
+    if not po.gap <= delta:
         raise CalibrationError(f"gap {po.gap} already exceeds delta {delta}")
     rng = random.Random(seed)
     if isinstance(sys, ToralAutomorphism):
@@ -244,7 +227,7 @@ def perturb(sys, po: PseudoOrbit, delta, seed: int) -> PseudoOrbit:
 def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:
     """``from_true_orbit`` followed by ``perturb`` in one pass.
 
-    For an exact toral system with rational data the whole orbit lives on
+    For a toral system with rational data the whole orbit lives on
     one integer lattice, so the true orbit is iterated with plain integer
     matrix arithmetic instead of field operations.  Each jittered
     coordinate c/Q + j*h/2^16 is then built as one integer over the single
@@ -258,24 +241,23 @@ def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:
         delta_f = delta.as_fraction()
     else:
         delta_f = None
-    if not (isinstance(sys, ToralAutomorphism) and sys.mode == "exact"
+    if not (isinstance(sys, ToralAutomorphism)
             and delta_f is not None and delta_f > 0 and a <= b
             and all(c.is_rational() for c in x.coords)):
         return perturb(sys, from_true_orbit(sys, x, a, b), delta, seed)
     fracs = [c.as_fraction() for c in x.coords]
     Q = lcm(*(f.denominator for f in fracs))
     vec = tuple(f.numerator * (Q // f.denominator) % Q for f in fracs)
-    d = sys.dim
     if a:
-        M = sys.matrix_power(a)
-        vec = tuple(sum(M[i][j] * vec[j] for j in range(d)) % Q
-                    for i in range(d))
+        (m00, m01), (m10, m11) = sys.matrix_power(a)
+        vec = ((m00 * vec[0] + m01 * vec[1]) % Q,
+               (m10 * vec[0] + m11 * vec[1]) % Q)
     A = sys.matrix
+    (a00, a01), (a10, a11) = A
     lattice = [vec]
     for _ in range(b - a):
-        v = lattice[-1]
-        lattice.append(tuple(sum(A[i][j] * v[j] for j in range(d)) % Q
-                             for i in range(d)))
+        v0, v1 = lattice[-1]
+        lattice.append(((a00 * v0 + a01 * v1) % Q, (a10 * v0 + a11 * v1) % Q))
     norm = max(sum(abs(v) for v in row) for row in A)
     h = delta_f / (2 * (norm + 1))
     # c/Q + j*h/_JITTER_STEPS over the one denominator L, reduced mod 1

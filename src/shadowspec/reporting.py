@@ -22,7 +22,7 @@ from .barycenter import BarycenterWitness, as_periodic, extract_heteroclinic, ve
 from .codecs import decode_point, decode_scalar, encode_point, encode_scalar
 from .errors import SchemaMismatchError, ShadowspecError
 from .pseudo_orbits import PseudoOrbit, max_metric, perturbed_orbit
-from .scalars import as_float, parse_exact
+from .scalars import parse_exact
 from .specification import check_specification
 from .systems import (
     CircleRotation,
@@ -43,7 +43,7 @@ def system_digest(sys) -> str:
     return hashlib.sha256(sys.describe().encode()).hexdigest()
 
 
-_TORAL_RE = re.compile(r"^d=(\d+) mode=(\w+) A=(.+)$")
+_TORAL_RE = re.compile(r"^d=2 mode=exact A=(.+)$")
 
 
 def system_from_description(text: str):
@@ -57,8 +57,8 @@ def system_from_description(text: str):
         if kind == "toral":
             m = _TORAL_RE.match(rest)
             rows = [[int(v) for v in row.split()]
-                    for row in m.group(3).split(";")]
-            return ToralAutomorphism(rows, mode=m.group(2))
+                    for row in m.group(1).split(";")]
+            return ToralAutomorphism(rows)
         if kind == "rotation":
             return CircleRotation(parse_exact(rest.partition("=")[2]))
         if kind == "permutation":
@@ -160,7 +160,7 @@ def plot_csv(records) -> str:
     writer.writerow(["record", "index", "deviation"])
     for num, r in enumerate(records):
         for idx, dev in enumerate(r.witness_payload.get("perIndexDeviations", ())):
-            writer.writerow([num, idx, repr(as_float(decode_scalar(dev)))])
+            writer.writerow([num, idx, repr(float(decode_scalar(dev)))])
     return buf.getvalue()
 
 
@@ -171,8 +171,6 @@ def expected_periodic_count(sys, k: int) -> int:
     count is the trace of the k-th power of the transition matrix.
     """
     if isinstance(sys, ToralAutomorphism):
-        if sys.dim != 2:
-            raise ValueError("counting needs a 2x2 matrix")
         m = sys.matrix_power(k)
         a, b = m[0][0] - 1, m[0][1]
         c, d = m[1][0], m[1][1] - 1
@@ -209,8 +207,8 @@ def _rebuild_pseudo_orbit(sys, spec: dict) -> PseudoOrbit:
 def _tracer_deviations(sys, po: PseudoOrbit, tracer, start: int):
     """d(f^(n - start)(tracer), y_n) for every index n of ``po``.
 
-    The generic walk through ``apply`` and ``distance``; exact tori take
-    the integer lane in ``_max_tracer_deviation`` instead.
+    The generic walk through ``apply`` and ``distance``; tori take the
+    integer lane in ``_max_tracer_deviation`` instead.
     """
     a, b = po.index_range
     cur = sys.apply(tracer, a - start)
@@ -224,7 +222,7 @@ def _tracer_deviations(sys, po: PseudoOrbit, tracer, start: int):
 
 def _max_tracer_deviation(sys, po: PseudoOrbit, tracer, start: int):
     """The exact maximum of ``_tracer_deviations``."""
-    if isinstance(sys, ToralAutomorphism) and sys.mode == "exact":
+    if isinstance(sys, ToralAutomorphism):
         x = sys.apply(tracer, po.index_range[0] - start)
         return sys.max_orbit_deviation(x, po.points)
     return max_metric(_tracer_deviations(sys, po, tracer, start))

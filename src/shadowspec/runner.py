@@ -31,6 +31,7 @@ from .reporting import ReportRecord, expected_periodic_count, system_digest
 from .shadowing import delta_for_epsilon, falsify_shadowing, shadow
 from .specification import (
     DEFAULT_HORIZON,
+    cover_tolerance,
     specification_point,
     transition_times,
     verify_specification,
@@ -88,8 +89,8 @@ def _random_point(sys, rng: random.Random):
         return sys.point_through(tuple(word), at=-12)
     if isinstance(sys, ToralAutomorphism):
         den = 1 << 12
-        return sys.point(*(Fraction(rng.randrange(den), den)
-                           for _ in range(sys.dim)))
+        return sys.point(Fraction(rng.randrange(den), den),
+                         Fraction(rng.randrange(den), den))
     if isinstance(sys, CircleRotation):
         return Fraction(rng.randrange(1 << 16), 1 << 16)
     if isinstance(sys, PermutationSystem):
@@ -232,11 +233,8 @@ def _spec_schedule(sys, eps, n_max: int, check: dict, cache: dict):
             raise hit
         return hit
     try:
-        half = eps / 2
-        target = delta_for_epsilon(sys, half)
-        if half < target:
-            target = half
-        cover = build_cover(sys, target, check.get("budget", CELL_BUDGET))
+        cover = build_cover(sys, cover_tolerance(sys, eps),
+                            check.get("budget", CELL_BUDGET))
         schedule = transition_times(sys, cover, n_max,
                                     check.get("horizon", DEFAULT_HORIZON))
     except ShadowspecError as exc:

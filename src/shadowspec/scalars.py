@@ -1,14 +1,12 @@
-"""Exact and tracked-error scalar arithmetic.
+"""Exact scalar arithmetic.
 
-Three scalar families cover every metric computation in the package:
+Two scalar families cover every metric computation in the package:
 
 * ``Fraction`` (stdlib) for anything rational: shift-space distances,
   rotation angles, tolerances from config files.
 * ``QuadraticNumber`` for elements of the real quadratic field Q(sqrt(D)).
   Eigenvalues of an integer 2x2 unimodular matrix live here, and so do all
-  coordinates produced by the exact toral constructions.
-* ``FloatTol`` for double precision with a tracked absolute error bound,
-  used when exact coordinates are unavailable (toral dimension > 2).
+  toral coordinates.
 
 Euclidean distances on the torus are square roots of field elements and
 generally leave the field, so they are kept as ``SqrtVal`` wrappers whose
@@ -298,14 +296,6 @@ def scalar_sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def as_float(x) -> float:
-    if isinstance(x, (QuadraticNumber, SqrtVal)):
-        return float(x)
-    if isinstance(x, FloatTol):
-        return x.value
-    return float(x)
-
-
 class SqrtVal:
     """The exact square root of a nonnegative field element.
 
@@ -395,107 +385,6 @@ def sqrt_sum_ge(a: SqrtVal, b: SqrtVal, c: SqrtVal) -> bool:
     if scalar_sign(lhs) <= 0:
         return True
     return scalar_sign(lhs * lhs - 4 * (ra * rb)) <= 0
-
-
-class FloatTol:
-    """A double with a tracked absolute error bound.
-
-    Arithmetic propagates worst-case bounds and adds one ulp per rounding.
-    Comparisons are only made through :meth:`definitely_lt` /
-    :meth:`definitely_gt`; overlapping intervals stay undecided.
-    """
-
-    __slots__ = ("value", "err")
-
-    def __init__(self, value: float, err: float = 0.0):
-        object.__setattr__(self, "value", float(value))
-        object.__setattr__(self, "err", float(err))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FloatTol is immutable")
-
-    @classmethod
-    def exact(cls, value: Rational) -> "FloatTol":
-        v = float(Fraction(value))
-        return cls(v, math.ulp(v))
-
-    def _coerce(self, other) -> "FloatTol":
-        if isinstance(other, FloatTol):
-            return other
-        return FloatTol.exact(other) if isinstance(other, (int, Fraction)) else FloatTol(float(other), math.ulp(float(other)))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        v = self.value + o.value
-        return FloatTol(v, self.err + o.err + math.ulp(v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        v = self.value - o.value
-        return FloatTol(v, self.err + o.err + math.ulp(v))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return FloatTol(-self.value, self.err)
-
-    def __abs__(self):
-        return FloatTol(abs(self.value), self.err)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        v = self.value * o.value
-        err = abs(self.value) * o.err + abs(o.value) * self.err + self.err * o.err
-        return FloatTol(v, err + math.ulp(v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        lo = abs(o.value) - o.err
-        if lo <= 0:
-            raise ZeroDivisionError("divisor interval contains zero")
-        v = self.value / o.value
-        err = (abs(self.value) * o.err + abs(o.value) * self.err) / (abs(o.value) * lo)
-        return FloatTol(v, err + math.ulp(v))
-
-    def sqrt(self) -> "FloatTol":
-        lo = max(self.value - self.err, 0.0)
-        v = math.sqrt(max(self.value, 0.0))
-        hi = math.sqrt(self.value + self.err)
-        return FloatTol(v, max(hi - v, v - math.sqrt(lo)) + math.ulp(v))
-
-    def mod1(self) -> "FloatTol":
-        # Reduction by the floor of the center value; if the interval straddles
-        # an integer the error bound already covers the wrapped branch.
-        v = self.value - math.floor(self.value)
-        return FloatTol(v, self.err + math.ulp(v))
-
-    def upper(self) -> float:
-        return self.value + self.err
-
-    def lower(self) -> float:
-        return self.value - self.err
-
-    def definitely_lt(self, other) -> bool:
-        o = self._coerce(other)
-        return self.upper() < o.lower()
-
-    def definitely_gt(self, other) -> bool:
-        o = self._coerce(other)
-        return self.lower() > o.upper()
-
-    def __float__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FloatTol({self.value!r}, {self.err!r})"
-
-    def __str__(self):
-        return f"{self.value!r}±{self.err:.3g}"
 
 
 def rational_below_sqrt(x: Fraction, bits: int = 64) -> Fraction:

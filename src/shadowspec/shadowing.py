@@ -71,9 +71,6 @@ def delta_for_epsilon(sys, epsilon):
             k += 1
         return Fraction(1, 2 ** (k + 1))
     if isinstance(sys, ToralAutomorphism):
-        if sys.mode != "exact" or sys.dim != 2:
-            raise UnsupportedSystemError(
-                "shadowing calibration needs an exact 2x2 toral system")
         eps = sys.scalar(epsilon) if not isinstance(epsilon, QuadraticNumber) \
             else epsilon
         if eps.sign() <= 0:
@@ -167,9 +164,6 @@ def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
     """
     if not isinstance(sys, ToralAutomorphism):
         raise UnsupportedSystemError("shadow_toral needs a toral automorphism")
-    if sys.mode != "exact" or sys.dim != 2:
-        raise UnsupportedSystemError(
-            "toral shadowing runs on exact 2x2 systems")
     eps = sys.scalar(epsilon) if not isinstance(epsilon, QuadraticNumber) \
         else epsilon
     delta = delta_for_epsilon(sys, eps)

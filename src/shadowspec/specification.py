@@ -104,10 +104,9 @@ class TransitionSchedule:
             return self.system.point_through(word, at=-w)
         sys = self.system
         X = lv.x_value
-        M = sys.matrix_power(X)
         lower_j = cells[j].lower
-        img = tuple(sum(M[r][c] * lower_j[c] for c in range(sys.dim)) % 1
-                    for r in range(sys.dim))
+        img = tuple((m0 * lower_j[0] + m1 * lower_j[1]) % 1
+                    for m0, m1 in sys.matrix_power(X))
         target = tuple((a - b) % 1 for a, b in zip(cells[i].lower, img))
         per = round(1 / cells[0].side)
         flat = 0
@@ -299,9 +298,6 @@ def transition_times(sys, cover: Cover, n_max: int = DEFAULT_LEVELS,
             m_prev, prev = lv.threshold, lv.entries
         return TransitionSchedule(sys, cover, levels)
     if isinstance(sys, ToralAutomorphism):
-        if sys.mode != "exact" or sys.dim != 2:
-            raise UnsupportedSystemError(
-                "schedules need an exact 2x2 toral system")
         levels = []
         m_prev, prev_x = 0, 0
         for n in range(1, n_max + 1):
@@ -343,15 +339,25 @@ def _half(epsilon):
     return Fraction(epsilon) / 2
 
 
+def cover_tolerance(sys, epsilon):
+    """The cover tolerance of a specification run at ``epsilon``.
+
+    Shadowing is calibrated at epsilon/2, and cells stay below both
+    delta_for_epsilon(epsilon/2) and epsilon/2, so the cell-diameter slack
+    at the seams still lands the final deviations under the full epsilon.
+    """
+    half = _half(epsilon)
+    return min(delta_for_epsilon(sys, half), half)
+
+
 def specification_point(sys, segments, epsilon, level: int,
                         schedule: TransitionSchedule | None = None, *,
                         budget: int = CELL_BUDGET,
                         horizon: int = DEFAULT_HORIZON) -> SpecificationResult:
     """A verified tracer whose orbit runs through all given segments.
 
-    Shadowing is calibrated at epsilon/2 and the cover kept below both
-    delta_for_epsilon(epsilon/2) and epsilon/2, so the cell-diameter slack
-    at the seams still lands the final deviations under the full epsilon.
+    Shadowing is calibrated at epsilon/2 and the cover built at
+    ``cover_tolerance(sys, epsilon)``.
     """
     segments = [(x, int(n)) for x, n in segments]
     if not segments:
@@ -363,9 +369,7 @@ def specification_point(sys, segments, epsilon, level: int,
     half = _half(epsilon)
     if not half > 0:
         raise ValueError("epsilon must be positive")
-    target = delta_for_epsilon(sys, half)
-    if half < target:
-        target = half
+    target = cover_tolerance(sys, epsilon)
     if schedule is None:
         cover = build_cover(sys, target, budget)
         schedule = transition_times(sys, cover, max(level, 1), horizon)

@@ -2,12 +2,11 @@
 
 Each system exposes the same minimal surface: ``apply(x, k)`` iterates the
 map (negative k uses the inverse), ``distance(x, y)`` evaluates the metric
-exactly in exact modes, and ``validate_point(x)`` rejects points that do not
-belong to the space.  Everything downstream (pseudo-orbits, shadowing, the
-specification construction) is written against this surface only, except
-that exact tori also offer ``max_jump`` and ``max_orbit_deviation``: the
-same maxima of ``distance`` over ``apply``, on integers, for pseudo-orbit
-gaps and replay.
+exactly, and ``validate_point(x)`` rejects points that do not belong to the
+space.  Everything downstream (pseudo-orbits, shadowing, the specification
+construction) is written against this surface only, except that tori also
+offer ``max_jump`` and ``max_orbit_deviation``: the same maxima of
+``distance`` over ``apply``, on integers, for pseudo-orbit gaps and replay.
 """
 
 from __future__ import annotations
@@ -17,12 +16,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
-from .errors import (
-    MalformedPointError,
-    NotHyperbolicError,
-    UnsupportedSystemError,
-)
-from .scalars import FloatTol, QuadraticNumber, SqrtVal
+from .errors import MalformedPointError, NotHyperbolicError
+from .scalars import QuadraticNumber, SqrtVal
 
 Word = tuple[int, ...]
 
@@ -192,7 +187,7 @@ class SymbolicPoint:
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A point of the d-torus with exact or tracked-float coordinates."""
+    """A point of the 2-torus with coordinates in Q(sqrt(D))."""
 
     coords: tuple
 
@@ -222,12 +217,6 @@ class HyperbolicSplitting:
     lam_s: QuadraticNumber
     v_u: tuple[QuadraticNumber, QuadraticNumber]
     v_s: tuple[QuadraticNumber, QuadraticNumber]
-
-    def unit_float(self, which: str) -> tuple[float, float]:
-        vx, vy = self.v_u if which == "u" else self.v_s
-        fx, fy = float(vx), float(vy)
-        norm = (fx * fx + fy * fy) ** 0.5
-        return fx / norm, fy / norm
 
 
 class ShiftSpace:
@@ -377,16 +366,20 @@ class ShiftSpace:
         for w in (x.left, x.core, x.right):
             if any(s < 0 or s >= r for s in w):
                 raise MalformedPointError("symbol outside alphabet")
+        T = self.transition
         p, q = len(x.left), len(x.right)
         for i in range(p):
-            if not self.transition[x.left[i]][x.left[(i + 1) % p]]:
+            if not T[x.left[i]][x.left[(i + 1) % p]]:
                 raise MalformedPointError("left tail not admissible")
         for i in range(q):
-            if not self.transition[x.right[i]][x.right[(i + 1) % q]]:
+            if not T[x.right[i]][x.right[(i + 1) % q]]:
                 raise MalformedPointError("right tail not admissible")
-        start, end = x.core_span()
-        for n in range(start - p - 1, end + q + 1):
-            if not self.transition[x.symbol(n)][x.symbol(n + 1)]:
+        # Pairs inside a tail are the cyclic pairs checked above, so only the
+        # core and its two seams are left: index start - 1 holds left[-1]
+        # and index end holds right[0].
+        w = x.left[-1:] + x.core + x.right[:1]
+        for n, (a, b) in enumerate(zip(w, w[1:]), x.core_span()[0] - 1):
+            if not T[a][b]:
                 raise MalformedPointError(f"inadmissible pair at index {n}")
 
     def apply(self, x: SymbolicPoint, k: int = 1) -> SymbolicPoint:
@@ -399,9 +392,6 @@ class ShiftSpace:
                 return Fraction(1, 2**k)
         return Fraction(0)
 
-    def diameter(self) -> Fraction:
-        return Fraction(1)
-
     def describe(self) -> str:
         rows = ";".join("".join(str(v) for v in row) for row in self.transition)
         return f"sft r={self.alphabet_size} T={rows}"
@@ -411,27 +401,6 @@ def _mat_mul(A, B):
     n, m, k = len(A), len(B[0]), len(B)
     return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m))
                  for i in range(n))
-
-
-def _mat_vec(A, v):
-    return tuple(sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A)))
-
-
-def _identity(d):
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def _det(M) -> int:
-    d = len(M)
-    if d == 1:
-        return M[0][0]
-    if d == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    total = 0
-    for j in range(d):
-        minor = tuple(row[:j] + row[j + 1:] for row in M[1:])
-        total += (-1) ** j * M[0][j] * _det(minor)
-    return total
 
 
 def _sq_dist_to_int(D: int, u: int, v: int, den: int) -> tuple[int, int]:
@@ -454,71 +423,40 @@ def _sq_dist_to_int(D: int, u: int, v: int, den: int) -> tuple[int, int]:
     return w * w + vvD, 2 * w * v
 
 
-def _adjugate(M):
-    d = len(M)
-    cof = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            minor = tuple(r[:j] + r[j + 1:] for k, r in enumerate(M) if k != i)
-            row.append((-1) ** (i + j) * _det(minor))
-        cof.append(tuple(row))
-    return tuple(tuple(cof[j][i] for j in range(d)) for i in range(d))
-
-
 class ToralAutomorphism:
-    """x -> A x (mod 1) for an integer matrix with |det A| = 1.
+    """x -> A x (mod 1) on the 2-torus, for a 2x2 integer matrix with |det A| = 1.
 
     Construction rejects matrices with an eigenvalue on the unit circle.
-    For d = 2 the check and all arithmetic are exact over Q(sqrt(D)) with
-    D = trace^2 - 4 det; higher dimensions fall back to tracked floats.
+    The check and all arithmetic are exact over Q(sqrt(D)) with
+    D = trace^2 - 4 det.
     """
 
     kind = "toral"
 
-    def __init__(self, matrix: Sequence[Sequence[int]], mode: str | None = None):
+    def __init__(self, matrix: Sequence[Sequence[int]]):
         A = tuple(tuple(int(v) for v in row) for row in matrix)
-        d = len(A)
-        if d < 2 or any(len(row) != d for row in A):
-            raise ValueError("matrix must be square, d >= 2")
-        det = _det(A)
+        if len(A) != 2 or any(len(row) != 2 for row in A):
+            raise ValueError("matrix must be 2x2")
+        (a, b), (c, d) = A
+        det = a * d - b * c
         if det not in (1, -1):
             raise ValueError(f"|det| must be 1, got {det}")
         self.matrix = A
-        self.dim = d
         self.det = det
-        self.inverse_matrix = tuple(tuple(v * det for v in row) for row in _adjugate(A))
-        if mode is None:
-            mode = "exact" if d == 2 else "float"
-        if mode == "exact" and d != 2:
-            raise UnsupportedSystemError("exact coordinates require d = 2")
-        self.mode = mode
-        self._pow_cache: dict[int, tuple] = {0: _identity(d), 1: A, -1: self.inverse_matrix}
-        if d == 2:
-            tr = A[0][0] + A[1][1]
-            disc = tr * tr - 4 * det
-            # Unit-circle eigenvalues happen exactly when the characteristic
-            # polynomial has a root at +-1 or a complex pair (disc <= 0).
-            p1 = 1 - tr + det
-            pm1 = 1 + tr + det
-            if disc <= 0 or p1 == 0 or pm1 == 0:
-                raise NotHyperbolicError(f"matrix {A} has an eigenvalue of modulus 1")
-            self.D = disc
-            self.trace = tr
-            self._splitting = self._exact_splitting()
-        else:
-            self.D = 0
-            self._splitting = None
-            self._check_float_hyperbolic()
-
-    def _check_float_hyperbolic(self):
-        import numpy
-
-        eig = numpy.linalg.eigvals(numpy.array(self.matrix, dtype=float))
-        margin = min(abs(abs(v) - 1.0) for v in eig)
-        if margin < 1e-9:
-            raise NotHyperbolicError(
-                f"cannot certify hyperbolicity: eigenvalue within {margin:.2e} of the unit circle")
+        self.inverse_matrix = ((d * det, -b * det), (-c * det, a * det))
+        self._pow_cache: dict[int, tuple] = {0: ((1, 0), (0, 1)), 1: A,
+                                             -1: self.inverse_matrix}
+        tr = a + d
+        disc = tr * tr - 4 * det
+        # Unit-circle eigenvalues happen exactly when the characteristic
+        # polynomial has a root at +-1 or a complex pair (disc <= 0).
+        p1 = 1 - tr + det
+        pm1 = 1 + tr + det
+        if disc <= 0 or p1 == 0 or pm1 == 0:
+            raise NotHyperbolicError(f"matrix {A} has an eigenvalue of modulus 1")
+        self.D = disc
+        self.trace = tr
+        self._splitting = self._exact_splitting()
 
     def _exact_splitting(self) -> HyperbolicSplitting:
         D, tr = self.D, self.trace
@@ -545,32 +483,25 @@ class ToralAutomorphism:
 
     # -- scalar plumbing -------------------------------------------------------
 
-    def scalar(self, value) -> QuadraticNumber | FloatTol:
-        if self.mode == "exact":
-            if isinstance(value, QuadraticNumber):
-                if value.D != self.D and value.q != 0:
-                    raise MalformedPointError("coordinate from a different field")
-                return QuadraticNumber(self.D, value.p, value.q, value.r)
-            return QuadraticNumber.from_rational(self.D, value)
-        if isinstance(value, FloatTol):
-            return value
-        return FloatTol.exact(value) if isinstance(value, (int, Fraction)) else FloatTol(float(value))
+    def scalar(self, value) -> QuadraticNumber:
+        if isinstance(value, QuadraticNumber):
+            if value.D != self.D and value.q != 0:
+                raise MalformedPointError("coordinate from a different field")
+            return QuadraticNumber(self.D, value.p, value.q, value.r)
+        return QuadraticNumber.from_rational(self.D, value)
 
     def point(self, *coords) -> TorusPoint:
         if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
             coords = tuple(coords[0])
-        if len(coords) != self.dim:
-            raise MalformedPointError(f"expected {self.dim} coordinates")
+        if len(coords) != 2:
+            raise MalformedPointError("expected 2 coordinates")
         return TorusPoint(tuple(self.scalar(c).mod1() for c in coords))
 
     def validate_point(self, x) -> None:
-        if not isinstance(x, TorusPoint) or len(x.coords) != self.dim:
-            raise MalformedPointError(f"expected a {self.dim}-torus point")
-        for c in x.coords:
-            if self.mode == "exact" and not isinstance(c, QuadraticNumber):
-                raise MalformedPointError("exact mode requires field coordinates")
-            if self.mode == "float" and not isinstance(c, FloatTol):
-                raise MalformedPointError("float mode requires tracked-float coordinates")
+        if not isinstance(x, TorusPoint) or len(x.coords) != 2:
+            raise MalformedPointError("expected a 2-torus point")
+        if not all(isinstance(c, QuadraticNumber) for c in x.coords):
+            raise MalformedPointError("toral points need field coordinates")
 
     def matrix_power(self, k: int) -> tuple:
         if k not in self._pow_cache:
@@ -584,12 +515,9 @@ class ToralAutomorphism:
 
     def apply(self, x: TorusPoint, k: int = 1) -> TorusPoint:
         self.validate_point(x)
-        M = self.matrix_power(k)
-        coords = tuple(
-            sum((self.scalar(M[i][j]) * x.coords[j] for j in range(self.dim)),
-                start=self.scalar(0)).mod1()
-            for i in range(self.dim))
-        return TorusPoint(coords)
+        x0, x1 = x.coords
+        return TorusPoint(tuple((m0 * x0 + m1 * x1).mod1()
+                                for m0, m1 in self.matrix_power(k)))
 
     def distance(self, x: TorusPoint, y: TorusPoint):
         """Euclidean distance between nearest lattice translates.
@@ -599,23 +527,16 @@ class ToralAutomorphism:
         """
         self.validate_point(x)
         self.validate_point(y)
-        if self.mode == "exact":
-            total = self.scalar(0)
-            for cx, cy in zip(x.coords, y.coords):
-                t = (cx - cy).mod1()
-                w = min(t, 1 - t)
-                total = total + w * w
-            return SqrtVal(total)
-        total = FloatTol(0.0)
+        total = self.scalar(0)
         for cx, cy in zip(x.coords, y.coords):
             t = (cx - cy).mod1()
-            w = abs(t) if t.value <= 0.5 else abs(1 - t)
+            w = min(t, 1 - t)
             total = total + w * w
-        return total.sqrt()
+        return SqrtVal(total)
 
-    # -- exact integer lane ---------------------------------------------------
+    # -- integer lane -----------------------------------------------------------
     #
-    # An exact coordinate (p + q*sqrt(D)) / r is the integer pair (p, q) over
+    # A coordinate (p + q*sqrt(D)) / r is the integer pair (p, q) over
     # r.  Over one common denominator the map acts on the rational and the
     # sqrt(D) parts as two integer vectors, without reduction mod 1: the
     # nearest-integer kernel absorbs the lattice translate.  Every squared
@@ -640,14 +561,8 @@ class ToralAutomorphism:
                 best = (p, q)
         return best
 
-    def _require_exact(self):
-        if self.mode != "exact":
-            raise UnsupportedSystemError(
-                "the integer lane needs exact coordinates")
-
     def max_jump(self, points) -> SqrtVal | Fraction:
         """max_i d(f(y_i), y_{i+1}) over consecutive points; 0 for one point."""
-        self._require_exact()
         if len(points) < 2:
             return Fraction(0)
         D = self.D
@@ -668,7 +583,6 @@ class ToralAutomorphism:
 
     def max_orbit_deviation(self, x: TorusPoint, points) -> SqrtVal:
         """max_n d(f^n(x), y_n) over the points y_0, y_1, ..."""
-        self._require_exact()
         D = self.D
         den, us, vs = self._integer_vectors([x, *points])
         (a, b), (c, d) = self.matrix
@@ -685,17 +599,12 @@ class ToralAutomorphism:
         p, q = self._max_sq_pair(deviations())
         return SqrtVal(QuadraticNumber(D, p, q, den * den))
 
-    def diameter(self) -> Fraction:
-        return Fraction(self.dim, 1)  # loose bound; only order of magnitude matters
-
     def hyperbolic_splitting(self) -> HyperbolicSplitting:
-        if self._splitting is None:
-            raise UnsupportedSystemError("exact splitting is only available for d = 2")
         return self._splitting
 
     def describe(self) -> str:
         rows = ";".join(" ".join(str(v) for v in row) for row in self.matrix)
-        return f"toral d={self.dim} mode={self.mode} A={rows}"
+        return f"toral d=2 mode=exact A={rows}"
 
 
 class CircleRotation:
@@ -729,9 +638,6 @@ class CircleRotation:
         self.validate_point(y)
         t = abs(x - y)
         return min(t, 1 - t)
-
-    def diameter(self) -> Fraction:
-        return Fraction(1, 2)
 
     def describe(self) -> str:
         return f"rotation angle={self.angle}"
@@ -776,9 +682,6 @@ class PermutationSystem:
         self.validate_point(x)
         self.validate_point(y)
         return Fraction(0) if x == y else Fraction(1)
-
-    def diameter(self) -> Fraction:
-        return Fraction(1)
 
     def describe(self) -> str:
         return f"permutation {' '.join(str(v) for v in self.images)}"

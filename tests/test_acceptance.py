@@ -19,7 +19,7 @@ from shadowspec.covers import CELL_BUDGET, build_cover
 from shadowspec.pseudo_orbits import perturbed_orbit
 from shadowspec.reporting import records_to_jsonl, replay_verify
 from shadowspec.runner import run_check
-from shadowspec.scalars import FloatTol, QuadraticNumber
+from shadowspec.scalars import QuadraticNumber, SqrtVal
 from shadowspec.shadowing import delta_for_epsilon
 from shadowspec.specification import DEFAULT_HORIZON, transition_times
 
@@ -153,7 +153,7 @@ def test_criterion_2_long_exact_toral_orbits(runs):
         dev = decode_scalar(pl["maxDeviation"], D=sys.D)
         sound = (sound and rec.outcome == "pass"
                  and decode_scalar(pl["epsilon"], D=sys.D) == eps
-                 and not isinstance(dev, FloatTol)
+                 and isinstance(dev, SqrtVal)
                  and dev < eps)
     # spot-check the one-step law on whole tracer orbits, written out here
     # instead of through the library's matrix power path

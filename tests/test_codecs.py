@@ -13,7 +13,7 @@ from shadowspec.codecs import (
     parse_segments,
 )
 from shadowspec.errors import MalformedPointError
-from shadowspec.scalars import FloatTol, QuadraticNumber, SqrtVal
+from shadowspec.scalars import QuadraticNumber, SqrtVal
 from shadowspec.systems import (
     CircleRotation,
     PermutationSystem,
@@ -45,14 +45,6 @@ def test_scalar_round_trip(value):
     assert encode_scalar(back) == text
 
 
-def test_float_tol_round_trip():
-    text = encode_scalar(FloatTol(0.125, 1e-9))
-    back = decode_scalar(text)
-    assert isinstance(back, FloatTol)
-    assert back.value == 0.125 and back.err == 1e-9
-    assert encode_scalar(back) == text
-
-
 def test_scalar_decode_with_known_radicand():
     lam = QuadraticNumber(5, 3, 1, 2)
     assert decode_scalar(encode_scalar(lam), D=5) == lam
@@ -66,9 +58,8 @@ def test_scalar_decode_exact_forms():
 
 
 def test_scalar_decode_float_tol():
-    got = decode_scalar("0.5±1e-09")
-    assert isinstance(got, FloatTol)
-    assert got.value == 0.5 and got.err == 1e-09
+    with pytest.raises(ValueError):
+        decode_scalar("0.5±1e-09")
 
 
 def test_quadratic_encoding_keeps_radicand_last():

@@ -130,6 +130,16 @@ def test_unknown_key():
     assert e.code == "config-unknown-key" and e.line == 3
 
 
+def test_system_mode_key_rejected():
+    e = err("system.kind = toral\nsystem.matrix = 2 1 ; 1 1\nsystem.mode = float\n")
+    assert e.code == "config-unknown-key" and e.line == 3
+
+
+def test_non_2x2_matrix_rejected():
+    e = err("system.kind = toral\nsystem.matrix = 0 1 0 ; 0 0 1 ; 1 0 0\n")
+    assert e.code == "config-invariant" and e.line == 1
+
+
 def test_invalid_matrix_entries():
     e = err("system.kind = toral\nsystem.matrix = 2 x ; 1 1\n")
     assert e.code == "config-invalid-value" and e.line == 2

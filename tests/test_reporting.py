@@ -91,6 +91,15 @@ def test_description_rejects_garbage():
         system_from_description("anosov flow on a solenoid")
 
 
+@pytest.mark.parametrize("text", [
+    "toral d=2 mode=float A=2 1;1 1",
+    "toral d=3 mode=exact A=0 1 0;0 0 1;1 0 0",
+], ids=["float", "d3"])
+def test_description_rejects_non_exact_2x2_torus(text):
+    with pytest.raises(SchemaMismatchError):
+        system_from_description(text)
+
+
 def test_record_dict_round_trip(shadow_records):
     rec = shadow_records[0]
     back = ReportRecord.from_dict(rec.to_dict())

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: quadratic field elements, roots, float bounds."""
+"""Exact scalar arithmetic: quadratic field elements and roots."""
 
 from fractions import Fraction
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowspec.scalars import (
-    FloatTol,
     QuadraticNumber,
     SqrtVal,
     format_exact,
@@ -174,28 +173,6 @@ class TestSqrtVal:
 def test_sqrtval_order_matches_squares(a, b):
     assert (SqrtVal(a) < SqrtVal(b)) == (a < b)
     assert (SqrtVal(a) == SqrtVal(b)) == (a == b)
-
-
-class TestFloatTol:
-    def test_error_propagates(self):
-        x = FloatTol(0.1) + FloatTol(0.2)
-        assert x.err > 0
-        assert x.lower() <= 0.3 <= x.upper()
-
-    def test_definite_comparisons(self):
-        a = FloatTol(1.0, 1e-9)
-        b = FloatTol(2.0, 1e-9)
-        assert a.definitely_lt(b)
-        assert b.definitely_gt(a)
-        wide = FloatTol(1.5, 1.0)
-        assert not wide.definitely_lt(b)
-        assert not wide.definitely_gt(a)
-
-    def test_sqrt_and_mod1(self):
-        v = FloatTol(4.0, 1e-12).sqrt()
-        assert abs(v.value - 2.0) < 1e-9
-        m = FloatTol(2.75, 1e-12).mod1()
-        assert abs(m.value - 0.75) < 1e-9
 
 
 def test_rational_below_sqrt():

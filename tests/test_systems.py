@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowspec.errors import (
-    MalformedPointError,
-    NotHyperbolicError,
-    UnsupportedSystemError,
-)
+from shadowspec.errors import MalformedPointError, NotHyperbolicError
 from shadowspec.scalars import QuadraticNumber, SqrtVal
 from shadowspec.systems import (
     CircleRotation,
@@ -94,6 +90,18 @@ class TestShiftSpace:
         with pytest.raises(MalformedPointError):
             gm.validate_point(SymbolicPoint.periodic((2,)))
 
+    @pytest.mark.parametrize("point,index", [
+        # ...0101|11|0... with the core at [-3, 0): the left seam
+        (SymbolicPoint((0, 1), (1, 0, 1), (0,), 3), -4),
+        (SymbolicPoint((0,), (1, 0, 1, 1, 0, 1), (0,), 0), 2),
+        # the core ends at index 4 and the right tail opens with a 1
+        (SymbolicPoint((0,), (1, 0, 1), (1, 0), -2), 4),
+    ], ids=["left-seam", "core", "right-seam"])
+    def test_validate_point_reports_first_bad_pair(self, point, index):
+        with pytest.raises(MalformedPointError,
+                           match=f"inadmissible pair at index {index}$"):
+            golden_mean_shift().validate_point(point)
+
     def test_distance_frozen(self):
         sh = full_shift(2)
         z = SymbolicPoint.periodic((0,))
@@ -174,15 +182,8 @@ class TestToralAutomorphism:
 
     def test_exact_mode_needs_dim_two(self):
         M3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-        with pytest.raises(UnsupportedSystemError):
-            ToralAutomorphism(M3, mode="exact")
-
-    def test_float_mode(self):
-        sys_ = ToralAutomorphism([[2, 1], [1, 1]], mode="float")
-        x = sys_.point(0.5, 0.5)
-        y = sys_.apply(x)
-        assert abs(y.coords[0].value - 0.5) < 1e-12
-        assert abs(y.coords[1].value - 0.0) < 1e-12
+        with pytest.raises(ValueError, match="2x2"):
+            ToralAutomorphism(M3)
 
     def test_describe(self):
         assert cat_map().describe() == "toral d=2 mode=exact A=2 1;1 1"
