@@ -9,7 +9,7 @@ bit.
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -44,21 +44,19 @@ def max_metric(values, zero=Fraction(0)):
 class PseudoOrbit:
     """Points y_a..y_b of one system with their cached maximum jump error.
 
-    The gap is computed from the points on first access; a caller that has
-    already derived it exactly may supply it, and ``recompute_gap`` always
-    re-derives the same value from the definition.
+    The gap is computed from the points on first access, and
+    ``recompute_gap`` re-derives the same value from the definition.
     """
 
     system: object
     start: int
     points: tuple
-    known_gap: InitVar[object] = None
 
-    def __post_init__(self, known_gap):
+    def __post_init__(self):
         self.points = tuple(self.points)
         if not self.points:
             raise ValueError("a pseudo-orbit needs at least one point")
-        self._gap = known_gap
+        self._gap = None
 
     @property
     def gap(self):

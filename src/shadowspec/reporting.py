@@ -317,7 +317,10 @@ def _replay_falsify(sys, payload: dict) -> bool:
         grid = cert["gridSize"]
         threshold = decode_scalar(cert["threshold"])
         stored = [decode_scalar(t) for t in cert["gridMaxDeviations"]]
-        if len(stored) != grid:
+        # every point lies within 1/(2*grid) of a grid point, and rotation
+        # is an isometry, so the grid orbits must miss by that much more
+        if len(stored) != grid or grid < 1 or \
+                not threshold >= eps + Fraction(1, 2 * grid):
             return False
         for g in range(grid):
             x = Fraction(g, grid)

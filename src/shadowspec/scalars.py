@@ -373,20 +373,6 @@ class SqrtVal:
         return f"sqrt({self.radicand})"
 
 
-def sqrt_sum_ge(a: SqrtVal, b: SqrtVal, c: SqrtVal) -> bool:
-    """Decide sqrt(ra) + sqrt(rb) >= sqrt(rc) exactly.
-
-    Squaring twice reduces the comparison to field arithmetic:
-    rc <= ra + rb + 2*sqrt(ra*rb)  iff  rc - ra - rb <= 0 or
-    (rc - ra - rb)^2 <= 4*ra*rb.
-    """
-    ra, rb, rc = a.radicand, b.radicand, c.radicand
-    lhs = rc - ra - rb
-    if scalar_sign(lhs) <= 0:
-        return True
-    return scalar_sign(lhs * lhs - 4 * (ra * rb)) <= 0
-
-
 def rational_below_sqrt(x: Fraction, bits: int = 64) -> Fraction:
     """A rational lower bound for sqrt(x), within a relative 2^-bits."""
     if x < 0:

@@ -1,9 +1,11 @@
 """Explicit tracing of pseudo-orbits in expansive systems.
 
-Both constructions are exact: the returned tracer is a point whose true
-orbit stays strictly within epsilon of every pseudo-orbit point, and the
-reported deviations are exact scalars recomputed from the definition, not
-byproducts of the construction.
+``shadow_sft`` splices shift symbols; ``shadow_toral`` cancels the lifted
+jump errors of a hyperbolic toral automorphism in one integer lane, for
+every discriminant and for rational and irrational points alike.  Both
+constructions are exact: the returned tracer is a point whose true orbit
+stays strictly within epsilon of every pseudo-orbit point, and the reported
+deviations are exact torus distances, not byproducts of the construction.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
-from math import isqrt, lcm
+from functools import cached_property
+from math import isqrt
 
 from .errors import (
     CalibrationError,
@@ -26,7 +28,12 @@ from .systems import (
     ShiftSpace,
     SymbolicPoint,
     ToralAutomorphism,
-    TorusPoint,
+    _bracket,
+    _floor_quad,
+    _max_filtered,
+    _max_pair,
+    _pair_mul,
+    _sq_dist_to_int,
 )
 from .pseudo_orbits import PseudoOrbit, from_true_orbit, max_metric, perturb
 
@@ -103,12 +110,6 @@ class ShadowingResult:
         return tuple(devs() if callable(devs) else devs)
 
 
-def _check_gap(po: PseudoOrbit, delta):
-    if not po.gap <= delta:
-        raise CalibrationError(
-            f"pseudo-orbit gap {po.gap} exceeds the calibrated delta {delta}")
-
-
 def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
     """Trace a shift pseudo-orbit by splicing its central symbols.
 
@@ -120,7 +121,9 @@ def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
     if not isinstance(sys, ShiftSpace):
         raise UnsupportedSystemError("shadow_sft needs a shift space")
     delta = delta_for_epsilon(sys, epsilon)
-    _check_gap(po, delta)
+    if not po.gap <= delta:
+        raise CalibrationError(
+            f"pseudo-orbit gap {po.gap} exceeds the calibrated delta {delta}")
     a, b = po.index_range
     ya, yb = po.points[0], po.points[-1]
     sa, _ = ya.core_span()
@@ -145,12 +148,6 @@ def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
     return ShadowingResult(tracer, mx, devs, Fraction(epsilon), delta, a)
 
 
-def _nearest_int(t: QuadraticNumber) -> int:
-    # round half toward the smaller integer: ceil(t - 1/2)
-    half = QuadraticNumber(t.D, 1, 0, 2)
-    return -((half - t).floor())
-
-
 def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
                  epsilon) -> ShadowingResult:
     """Trace a toral pseudo-orbit by cancelling lifted jump errors.
@@ -161,305 +158,147 @@ def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
     correction to each lifted point.  The corrections telescope exactly,
     so the output is a true orbit; hyperbolicity bounds every correction
     by delta * C < epsilon.
+
+    Everything runs on integer pairs (see the integer lane in
+    ``systems``): coordinates over one common denominator Q, and errors
+    and corrections as elements (a + b*sqrt(D)) / 2 of the order, for any
+    discriminant and for rational or irrational points alike.
     """
     if not isinstance(sys, ToralAutomorphism):
         raise UnsupportedSystemError("shadow_toral needs a toral automorphism")
     eps = sys.scalar(epsilon) if not isinstance(epsilon, QuadraticNumber) \
         else epsilon
     delta = delta_for_epsilon(sys, eps)
-    if _lattice_applicable(sys, po):
-        result = _shadow_toral_lattice(sys, po, eps, delta)
-        if result is not None:
-            return result
-    _check_gap(po, delta)
-    return _shadow_toral_generic(sys, po, eps, delta)
-
-
-def _shadow_toral_generic(sys, po, eps, delta) -> ShadowingResult:
-    sp = sys.hyperbolic_splitting()
-    vs, vu = sp.v_s, sp.v_u
-    det = vs[0] * vu[1] - vs[1] * vu[0]
-    A = sys.matrix
-    a, _ = po.index_range
-    m = len(po.points)
-
-    lifts = [tuple(po.points[0].coords)]
-    errors = []
-    for n in range(m - 1):
-        img = (A[0][0] * lifts[n][0] + A[0][1] * lifts[n][1],
-               A[1][0] * lifts[n][0] + A[1][1] * lifts[n][1])
-        nxt = []
-        for i in range(2):
-            t = img[i] - po.points[n + 1].coords[i]
-            nxt.append(po.points[n + 1].coords[i] + _nearest_int(t))
-        lifts.append(tuple(nxt))
-        errors.append((nxt[0] - img[0], nxt[1] - img[1]))
-
-    alphas, betas = [], []
-    for ex, ey in errors:
-        alphas.append((ex * vu[1] - ey * vu[0]) / det)
-        betas.append((vs[0] * ey - vs[1] * ex) / det)
-
-    zero = sys.scalar(0)
-    s = [zero]
-    for n in range(m - 1):
-        s.append(sp.lam_s * s[n] - alphas[n])
-    u = [zero] * m
-    for n in range(m - 2, -1, -1):
-        u[n] = (u[n + 1] + betas[n]) / sp.lam_u
-
-    zs = [(lifts[n][0] + s[n] * vs[0] + u[n] * vu[0],
-           lifts[n][1] + s[n] * vs[1] + u[n] * vu[1]) for n in range(m)]
-    for n in range(m - 1):
-        img = (A[0][0] * zs[n][0] + A[0][1] * zs[n][1],
-               A[1][0] * zs[n][0] + A[1][1] * zs[n][1])
-        if img[0] != zs[n + 1][0] or img[1] != zs[n + 1][1]:
-            raise InternalInvariantError("corrected points are not an orbit")
-
-    tracer = sys.point(*zs[0])
-    devs = tuple(sys.distance(sys.point(*zs[n]), po.points[n])
-                 for n in range(m))
-    if sys.apply(tracer, m - 1) != sys.point(*zs[m - 1]):
-        raise InternalInvariantError("tracer orbit drifts from construction")
-    mx = max_metric(devs)
-    if not mx < eps:
-        raise InternalInvariantError(
-            f"deviation {mx} reached epsilon {eps}")
-    return ShadowingResult(tracer, mx, devs, eps, delta, a)
-
-
-# -- integer lattice lane for long exact orbits ------------------------------
-#
-# When every coordinate is rational the whole correction pipeline lives in
-# the ring of integers of Q(sqrt(D)) over a handful of fixed denominators,
-# as integer pairs (a, b) ~ a + b*omega, omega = (1+sqrt(D))/2.  In this
-# basis the coefficients of lam_s^k grow like lam_u^k, so a correction of
-# size 1e-6 on a thousand-step orbit carries coefficients of ~1400 bits.
-# Sign decisions are therefore filtered: an integer fixed-point image of
-# each pair, rigorously within |b| of 2^(k+1) * (a + b*omega), gives an
-# interval that proves most corrections below 1/2 and rules out all but
-# the largest deviations; the exact pair comparison runs only where the
-# intervals do not settle the question.  Values and tie-breaking match the
-# generic lane exactly; only the representation differs.
-
-
-def _lattice_applicable(sys, po) -> bool:
-    return (sys.D % 4 == 1 and len(po.points) >= 2
-            and all(c.is_rational() for p in po.points for c in p.coords))
-
-
-def _pair_sign(D: int, pair) -> int:
-    # sign of a + b*omega = (2a + b + b*sqrt(D)) / 2
-    a, b = pair
-    p = 2 * a + b
-    if p >= 0 and b >= 0:
-        return 1 if (p or b) else 0
-    if p <= 0 and b <= 0:
-        return -1 if (p or b) else 0
-    if p >= 0:
-        return 1 if p * p > D * b * b else -1
-    return 1 if D * b * b > p * p else -1
-
-
-def _pmul(w: int, x, y):
-    # (a + b*omega) * (e + f*omega) with omega^2 = omega + w
-    a, b = x
-    e, f = y
-    bf = b * f
-    return (a * e + bf * w, a * f + b * e + bf)
-
-
-def _pair_to_quad(D: int, pair, den: int = 1) -> QuadraticNumber:
-    a, b = pair
-    return QuadraticNumber(D, 2 * a + b, b, 2 * den)
-
-
-def _quad_to_pair(x: QuadraticNumber):
-    # (p + q*sqrt(D)) / r = ((p - q) + 2q*omega) / r
-    return (x.p - x.q, 2 * x.q), x.r
-
-
-def _quad_to_int_pair(x: QuadraticNumber):
-    pair, den = _quad_to_pair(x)
-    if pair[0] % den or pair[1] % den:
-        raise InternalInvariantError(f"{x} is not an algebraic integer")
-    return pair[0] // den, pair[1] // den
-
-
-def _norm2(w: int, cx, cy):
-    # cx^2 + cy^2 as a pair, omega^2 = omega + w
-    x2 = _pmul(w, cx, cx)
-    y2 = _pmul(w, cy, cy)
-    return x2[0] + y2[0], x2[1] + y2[1]
-
-
-def _pair_deviations(D: int, cxs, cys, scale_den: int) -> tuple:
-    # dev_n = sqrt((cx_n^2 + cy_n^2) / scale_den), as exact SqrtVals
-    w = (D - 1) // 4
-    return tuple(SqrtVal(_pair_to_quad(D, _norm2(w, cx, cy), scale_den))
-                 for cx, cy in zip(cxs, cys))
-
-
-def _shadow_toral_lattice(sys, po, eps, delta) -> ShadowingResult | None:
     D = sys.D
-    w = (D - 1) // 4  # omega^2 = omega + w
-    pmul = partial(_pmul, w)
+    (a, b), (c, d) = sys.matrix
+    Q, us, vs = sys._integer_vectors(po.points)
+    m = len(us)
 
-    sp = sys.hyperbolic_splitting()
-    try:
-        ls = _quad_to_int_pair(sp.lam_s)
-    except InternalInvariantError:
-        return None
-    lu_inv = ls if sys.det == 1 else (-ls[0], -ls[1])
-
-    (ssp, ssd) = _quad_to_pair(sp.v_s[1])
-    (sup, sud) = _quad_to_pair(sp.v_u[1])
-    vden = lcm(ssd, sud)
-    ss = (ssp[0] * (vden // ssd), ssp[1] * (vden // ssd))
-    su = (sup[0] * (vden // sud), sup[1] * (vden // sud))
-    dv = (su[0] - ss[0], su[1] - ss[1])  # (sigma_u - sigma_s) * vden
-
-    # rational coordinates are stored reduced: p / r with r > 0
-    Q = 1
-    for p in po.points:
-        Q = lcm(Q, *(c.r for c in p.coords))
-    pts = [tuple(c.p * (Q // c.r) for c in p.coords) for p in po.points]
-
-    A = sys.matrix
-    m = len(pts)
-    lifts = [pts[0]]
+    # Lifts keep each point's sqrt(D) parts and move its rational parts by
+    # the integer translate nearest to A * lift_n, ties toward the smaller
+    # integer: ceil(t - 1/2) = -floor((1 - 2t) / 2).  Coordinate i of the
+    # error e_n = lift_{n+1} - A * lift_n is (eu_i + ev_i*sqrt(D)) / Q.
+    lift = us[0]
     errs = []
-    max_e2 = 0
     for n in range(m - 1):
-        ix = A[0][0] * lifts[n][0] + A[0][1] * lifts[n][1]
-        iy = A[1][0] * lifts[n][0] + A[1][1] * lifts[n][1]
-        # nearest integer translate, ties toward the smaller integer
-        tx = ix - pts[n + 1][0]
-        ty = iy - pts[n + 1][1]
-        mx_ = -((Q - 2 * tx) // (2 * Q))
-        my_ = -((Q - 2 * ty) // (2 * Q))
-        nxt = (pts[n + 1][0] + mx_ * Q, pts[n + 1][1] + my_ * Q)
-        lifts.append(nxt)
-        ex, ey = nxt[0] - ix, nxt[1] - iy
-        errs.append((ex, ey))
-        e2 = ex * ex + ey * ey
-        if e2 > max_e2:
-            max_e2 = e2
-    gap = SqrtVal(Fraction(max_e2, Q * Q))
+        (x0, x1), (y0, y1) = lift, vs[n]
+        (p0, p1), (q0, q1) = us[n + 1], vs[n + 1]
+        t0, t1 = a * x0 + b * x1 - p0, c * x0 + d * x1 - p1
+        w0, w1 = a * y0 + b * y1 - q0, c * y0 + d * y1 - q1
+        k0 = -_floor_quad(D, Q - 2 * t0, -2 * w0, 2 * Q)
+        k1 = -_floor_quad(D, Q - 2 * t1, -2 * w1, 2 * Q)
+        lift = (p0 + k0 * Q, p1 + k1 * Q)
+        errs.append((k0 * Q - t0, -w0, k1 * Q - t1, -w1))
+
+    if errs:
+        sq = [(eu * eu + fu * fu + (ev * ev + fv * fv) * D,
+               2 * (eu * ev + fu * fv)) for eu, ev, fu, fv in errs]
+        gap = SqrtVal(QuadraticNumber(D, *_max_pair(D, sq), Q * Q))
+    else:
+        gap = Fraction(0)
     if po._gap is None:
         po._gap = gap
     if not gap <= delta:
         raise CalibrationError(
             f"pseudo-orbit gap {gap} exceeds the calibrated delta {delta}")
 
-    # scaled eigencomponents: shat = s * (sigma_u - sigma_s), denominator R
-    R = Q * vden
+    # Eigendata as pairs of the order, with h = d - a:
+    #   lam_s = (tr + g*sqrt(D)) / 2, lam_u - lam_s = -g*sqrt(D),
+    #   1 / lam_u = det * lam_s, and the eigenvector of lam is
+    #   (1, (lam - a) / b) with lam - a = (h, g) for lam_s, (h, -g) for lam_u.
+    # e_n = alpha_n v_s + beta_n v_u; scaled by Q * (lam_u - lam_s),
+    #   alpha = e_x * (lam_u - a) - b * e_y, beta = b * e_y - e_x * (lam_s - a),
+    # and s_{n+1} = lam_s s_n - alpha_n runs forward from s_0 = 0,
+    # u_n = (u_{n+1} + beta_n) / lam_u backward from u_{m-1} = 0.
+    g = -1 if a + d > 0 else 1
+    h, gD, b2 = d - a, g * D, 2 * b
+    lam_s, lu_inv = (a + d, g), (sys.det * (a + d), sys.det * g)
     shat = [(0, 0)]
-    for ex, ey in errs:
-        # alpha * Delta = e_x * sigma_u - e_y, over R
-        av = (ex * su[0] - ey * vden, ex * su[1])
-        prev = shat[-1]
-        ms_ = pmul(ls, prev)
-        shat.append((ms_[0] - av[0], ms_[1] - av[1]))
+    for eu, ev, fu, fv in errs:
+        s0, s1 = _pair_mul(D, lam_s, shat[-1])
+        shat.append((s0 - h * eu + gD * ev + b2 * fu,
+                     s1 - h * ev + g * eu + b2 * fv))
     uhat = [(0, 0)] * m
     for n in range(m - 2, -1, -1):
-        ex, ey = errs[n]
-        bv = (ey * vden - ex * ss[0], -ex * ss[1])
-        nxt = uhat[n + 1]
-        uhat[n] = pmul(lu_inv, (nxt[0] + bv[0], nxt[1] + bv[1]))
+        eu, ev, fu, fv = errs[n]
+        u0, u1 = uhat[n + 1]
+        uhat[n] = _pair_mul(D, lu_inv, (u0 + b2 * fu - h * eu - gD * ev,
+                                        u1 + b2 * fv - h * ev - g * eu))
 
-    # corr * Delta over common denominator R * vden, per coordinate
+    # corr_n = s_n * v_s + u_n * v_u, times b * Q * (lam_u - lam_s), is the
+    # pair (X, Y) per coordinate, so the coordinate itself is
+    # (G*Y*D + G*X*sqrt(D)) / den with G = -g * sign(b)
     cxs, cys = [], []
-    for n in range(m):
-        sx, ux = shat[n], uhat[n]
-        cxs.append(((sx[0] + ux[0]) * vden, (sx[1] + ux[1]) * vden))
-        cy_ = pmul(sx, ss)
-        cu_ = pmul(ux, su)
-        cys.append((cy_[0] + cu_[0], cy_[1] + cu_[1]))
+    for (s0, s1), (u0, u1) in zip(shat, uhat):
+        cxs.append((b * (s0 + u0), b * (s1 + u1)))
+        cys.append(((h * (s0 + u0) + gD * (s1 - u1)) >> 1,
+                    (h * (s1 + u1) + g * (s0 - u0)) >> 1))
+    R = abs(b) * Q
+    G = -g if b > 0 else g
+    den = 2 * D * R
 
-    # filter: mag(pair) = [lo, hi] around 2^(k+1-shift) * |a + b*omega|.
-    # (a << k+1) + b*W is within |b| of 2^(k+1) * (a + b*omega), so k puts
-    # that error ~128 bits below R, the scale of the 1/2 threshold, and the
-    # shift keeps every bound near 160 bits.
-    rdv = (R * dv[0], R * dv[1])
-    bits = max(abs(c[1]).bit_length() for c in (*cxs, *cys, rdv))
-    k = max(bits + 128 - R.bit_length(), 0)
-    W = (1 << k) + isqrt(D << 2 * k)  # 2^(k+1) * omega - W is in [0, 1)
-    shift = max(bits - 32, 0)
-
-    def mag(pair):
-        a, b = pair
-        t = abs((a << k + 1) + b * W)
-        e = abs(b)
-        return max(t - e, 0) >> shift, -(-(t + e) >> shift)
-
-    # |corr| < 1/2 iff 2|c| < R|dv|: settled by the filter when 2|c|'s
-    # upper bound is below R|dv|'s lower one, else by the exact sign of
-    # 4c^2 - R^2 dv^2
-    dv2 = pmul(dv, dv)
-    half_bound = (R * R * dv2[0], R * R * dv2[1])
-    tlo = mag(rdv)[0]
-    mags = []
-    for n in range(m):
-        bx, by = mag(cxs[n]), mag(cys[n])
-        for comp, (_, hi) in ((cxs[n], bx), (cys[n], by)):
-            if 2 * hi < tlo:
-                continue
-            c2 = pmul(comp, comp)
-            if _pair_sign(D, (4 * c2[0] - half_bound[0],
-                              4 * c2[1] - half_bound[1])) >= 0:
-                return None  # correction not provably below 1/2: generic lane
-        mags.append((bx, by))
-
-    # true-orbit identity A*corr_n - corr_{n+1} = e_n at denominator R*vden
+    # true-orbit identity A*corr_n - corr_{n+1} = e_n, at that scale
+    bg = 2 * b * g
     for n in range(m - 1):
-        ex, ey = errs[n]
-        lhs0 = (A[0][0] * cxs[n][0] + A[0][1] * cys[n][0] - cxs[n + 1][0],
-                A[0][0] * cxs[n][1] + A[0][1] * cys[n][1] - cxs[n + 1][1])
-        lhs1 = (A[1][0] * cxs[n][0] + A[1][1] * cys[n][0] - cys[n + 1][0],
-                A[1][0] * cxs[n][1] + A[1][1] * cys[n][1] - cys[n + 1][1])
-        if lhs0 != (ex * dv[0] * vden, ex * dv[1] * vden) or \
-           lhs1 != (ey * dv[0] * vden, ey * dv[1] * vden):
+        eu, ev, fu, fv = errs[n]
+        (x0, x1), (y0, y1) = cxs[n], cys[n]
+        (X0, X1), (Y0, Y1) = cxs[n + 1], cys[n + 1]
+        if (a * x0 + b * y0 - X0 + bg * D * ev, a * x1 + b * y1 - X1 + bg * eu,
+                c * x0 + d * y0 - Y0 + bg * D * fv,
+                c * x1 + d * y1 - Y1 + bg * fu) != (0, 0, 0, 0):
             raise InternalInvariantError("corrected points are not an orbit")
 
-    # deviations: dev_n^2 = N_n / (R^2 * dv^2); dv^2 is rational because
-    # sigma_u - sigma_s is a pure sqrt(D) multiple, so its pair squares to
-    # an integer and the scale factor collapses to one denominator.
-    if dv2[1] != 0:
-        raise InternalInvariantError("eigenslope difference squared not rational")
-    scale_den = R * R * dv2[0]
+    # Deviations.  |corr| < 1/2 iff |X + Y*sqrt(D)| < R*sqrt(D).  k puts the
+    # bracket error |Y| about 128 bits below R*sqrt(D)*2^k, and the shift
+    # keeps every bound near 160 bits.  A component proved below 1/2 is its
+    # own distance to the torus lattice; any other is at most 1/2 away.
+    bits = max(abs(y).bit_length() for _, y in (*cxs, *cys, (0, R)))
+    k = max(bits + 128 - R.bit_length(), 0)
+    S = isqrt(D << 2 * k)
+    shift = max(bits - 32, 0)
+    half_lo, half_hi = R * S >> shift, -(-R * (S + 1) >> shift)
 
-    # largest N_n: only indices whose upper bound reaches the best lower
-    # bound can attain it, and those are compared exactly
-    floor_ = max(xl * xl + yl * yl for (xl, _), (yl, _) in mags)
-    best = None
-    for n, ((_, xh), (_, yh)) in enumerate(mags):
-        if xh * xh + yh * yh < floor_:
-            continue
-        n2 = _norm2(w, cxs[n], cys[n])
-        if best is None or _pair_sign(D, (n2[0] - best[0],
-                                          n2[1] - best[1])) > 0:
-            best = n2
-    mxdev = SqrtVal(_pair_to_quad(D, best, scale_den))
+    def mag(pair):
+        lo, hi = _bracket(*pair, k, S)
+        if hi < 0:
+            lo, hi = -hi, -lo
+        elif lo < 0:
+            lo, hi = 0, max(-lo, hi)
+        hi = -(-hi >> shift)
+        return (lo >> shift, hi) if hi < half_lo else (0, half_hi)
+
+    bounds = []
+    for cx, cy in zip(cxs, cys):
+        (xl, xh), (yl, yh) = mag(cx), mag(cy)
+        bounds.append((xl * xl + yl * yl, xh * xh + yh * yh))
+
+    def sq_dev(n):
+        # dev_n^2 = (p + q*sqrt(D)) / den^2, wrapping each coordinate
+        (x0, y0), (x1, y1) = cxs[n], cys[n]
+        p0, q0 = _sq_dist_to_int(D, G * y0 * D, G * x0, den)
+        p1, q1 = _sq_dist_to_int(D, G * y1 * D, G * x1, den)
+        return p0 + p1, q0 + q1
+
+    mxdev = SqrtVal(QuadraticNumber(D, *_max_filtered(D, bounds, sq_dev),
+                                    den * den))
     if not mxdev < eps:
         raise InternalInvariantError(
             f"deviation {mxdev} reached epsilon {eps}")
 
-    delta_q = _pair_to_quad(D, dv, vden)
+    def point(n, lifted):
+        return sys.point(*(QuadraticNumber(D, u, v, Q)
+                           + QuadraticNumber(D, G * y * D, G * x, den)
+                           for u, v, (x, y) in
+                           zip(lifted, vs[n], (cxs[n], cys[n]))))
 
-    def corr_quad(n):
-        return (_pair_to_quad(D, cxs[n], R * vden) / delta_q,
-                _pair_to_quad(D, cys[n], R * vden) / delta_q)
-
-    c0 = corr_quad(0)
-    tracer = sys.point(Fraction(lifts[0][0], Q) + c0[0],
-                       Fraction(lifts[0][1], Q) + c0[1])
-    cl = corr_quad(m - 1)
-    z_last = sys.point(Fraction(lifts[m - 1][0], Q) + cl[0],
-                       Fraction(lifts[m - 1][1], Q) + cl[1])
-    if sys.apply(tracer, m - 1) != z_last:
+    tracer = point(0, us[0])
+    if sys.apply(tracer, m - 1) != point(m - 1, lift):
         raise InternalInvariantError("tracer orbit drifts from construction")
-    devs = partial(_pair_deviations, D, cxs, cys, scale_den)
+
+    def devs():
+        return (SqrtVal(QuadraticNumber(D, *sq_dev(n), den * den))
+                for n in range(m))
+
     return ShadowingResult(tracer, mxdev, devs, eps, delta, po.index_range[0])
 
 

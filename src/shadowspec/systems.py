@@ -403,24 +403,86 @@ def _mat_mul(A, B):
                  for i in range(n))
 
 
+# -- integer lane -------------------------------------------------------------
+#
+# Exact toral arithmetic on integers.  A coordinate (p + q*sqrt(D)) / r is
+# the integer pair (p, q) over r; over one common denominator the map acts
+# on the rational and the sqrt(D) parts as two integer vectors, without
+# reduction mod 1.  The shadowing construction also multiplies by
+# eigenvalues and eigenslopes, which lie in the order Z[(D + sqrt(D))/2]:
+# there an element is a pair (a, b) standing for (a + b*sqrt(D)) / 2 with
+# a = b*D (mod 2), and the product of two such pairs halves exactly
+# (``_pair_mul``).  Signs go through a fixed-point filter first:
+# 2^k * (p + q*sqrt(D)) lies within |q| of (p << k) + q*isqrt(D * 4^k)
+# (``_bracket``), so most comparisons settle on those intervals and an
+# exact sign runs only where the intervals overlap (``_max_filtered``).
+
+
+def _floor_quad(D: int, u: int, v: int, den: int) -> int:
+    """floor((u + v*sqrt(D)) / den) for den > 0, by one isqrt.
+
+    For v != 0, v*sqrt(D) is irrational and lies strictly between the
+    integers s and s + 1 with s = floor(v*sqrt(D)), so the floor of the
+    quotient is that of (u + s) / den.
+    """
+    if v == 0:
+        return u // den
+    s = isqrt(v * v * D)
+    return (u + s) // den if v > 0 else (u - s - 1) // den
+
+
 def _sq_dist_to_int(D: int, u: int, v: int, den: int) -> tuple[int, int]:
     """Squared distance from (u + v*sqrt(D)) / den to the nearest integer.
 
     Returns (p, q) with the square equal to (p + q*sqrt(D)) / den^2, den > 0.
-    The nearest integer is floor(x + 1/2), which one isqrt settles: for
-    v != 0, 2*v*sqrt(D) is irrational and lies strictly between s and s + 1
-    (or -s - 1 and -s).  For v = 0 a tie at 1/2 gives the same |w| on
-    either side.
+    The nearest integer is floor(x + 1/2); for v = 0 a tie at 1/2 gives the
+    same |w| on either side.
     """
-    vvD = v * v * D
-    if v == 0:
-        n = (2 * u + den) // (2 * den)
-    elif v > 0:
-        n = (2 * u + den + isqrt(4 * vvD)) // (2 * den)
-    else:
-        n = (2 * u + den - isqrt(4 * vvD) - 1) // (2 * den)
+    n = _floor_quad(D, 2 * u + den, 2 * v, 2 * den)
     w = u - n * den
-    return w * w + vvD, 2 * w * v
+    return w * w + v * v * D, 2 * w * v
+
+
+def _pair_mul(D: int, x, y) -> tuple[int, int]:
+    """The product of two elements (a + b*sqrt(D)) / 2 of the order, as a pair."""
+    a, b = x
+    e, f = y
+    return (a * e + b * f * D) >> 1, (a * f + b * e) >> 1
+
+
+def _bracket(p: int, q: int, k: int, S: int) -> tuple[int, int]:
+    """Integers lo <= 2^k * (p + q*sqrt(D)) <= hi, given S = isqrt(D * 4^k)."""
+    t = (p << k) + q * S
+    return (t, t + q) if q >= 0 else (t + q, t)
+
+
+def _max_filtered(D: int, bounds, exact) -> tuple[int, int]:
+    """The largest of some values p + q*sqrt(D), as its pair (p, q).
+
+    ``bounds[i]`` brackets the image of value i under one increasing map,
+    and ``exact(i)`` gives its pair.  Only the values whose upper bound
+    reaches the largest lower bound are computed and compared exactly.
+    """
+    floor = max(lo for lo, _ in bounds)
+    best = None
+    for i, (_, hi) in enumerate(bounds):
+        if hi < floor:
+            continue
+        p, q = exact(i)
+        if best is None or \
+           QuadraticNumber(D, p - best[0], q - best[1]).sign() > 0:
+            best = p, q
+    return best
+
+
+def _max_pair(D: int, pairs) -> tuple[int, int]:
+    """The largest p + q*sqrt(D) over a nonempty list of integer pairs."""
+    if not any(q for _, q in pairs):
+        return max(pairs)
+    k = max(abs(q).bit_length() for _, q in pairs) + 64
+    S = isqrt(D << 2 * k)
+    return _max_filtered(D, [_bracket(p, q, k, S) for p, q in pairs],
+                         pairs.__getitem__)
 
 
 class ToralAutomorphism:
@@ -469,15 +531,12 @@ class ToralAutomorphism:
         else:
             lam_u, lam_s = lam_minus, lam_plus
         a, b = self.matrix[0]
-        c, dd = self.matrix[1]
         one = QuadraticNumber.from_rational(D, 1)
 
+        # b != 0: a triangular unimodular matrix has eigenvalues +-1, which
+        # the constructor has already rejected
         def eigenvector(lam):
-            if b != 0:
-                return (one, (lam - a) / b)
-            if c != 0:
-                return ((lam - dd) / c, one)
-            raise NotHyperbolicError("diagonal unimodular matrices are never hyperbolic")
+            return (one, (lam - a) / b)
 
         return HyperbolicSplitting(D, lam_u, lam_s, eigenvector(lam_u), eigenvector(lam_s))
 
@@ -500,8 +559,14 @@ class ToralAutomorphism:
     def validate_point(self, x) -> None:
         if not isinstance(x, TorusPoint) or len(x.coords) != 2:
             raise MalformedPointError("expected a 2-torus point")
-        if not all(isinstance(c, QuadraticNumber) for c in x.coords):
-            raise MalformedPointError("toral points need field coordinates")
+        D = self.D
+        for c in x.coords:
+            if not isinstance(c, QuadraticNumber) or c.D != D:
+                raise MalformedPointError(
+                    f"toral coordinates must lie in Q(sqrt({D}))")
+            if not (0 <= c.p < c.r if c.q == 0
+                    else _floor_quad(D, c.p, c.q, c.r) == 0):
+                raise MalformedPointError(f"coordinate {c} outside [0, 1)")
 
     def matrix_power(self, k: int) -> tuple:
         if k not in self._pow_cache:
@@ -534,32 +599,15 @@ class ToralAutomorphism:
             total = total + w * w
         return SqrtVal(total)
 
-    # -- integer lane -----------------------------------------------------------
-    #
-    # A coordinate (p + q*sqrt(D)) / r is the integer pair (p, q) over
-    # r.  Over one common denominator the map acts on the rational and the
-    # sqrt(D) parts as two integer vectors, without reduction mod 1: the
-    # nearest-integer kernel absorbs the lattice translate.  Every squared
-    # distance is then an integer pair over den^2, and the largest one is
-    # picked by the exact sign of a difference of pairs.
-
     def _integer_vectors(self, points):
         """(den, u, v) with point i equal to (u[i] + v[i]*sqrt(D)) / den."""
         for x in points:
             self.validate_point(x)
-        den = lcm(*(c.r for x in points for c in x.coords))
-        u = [tuple(c.p * (den // c.r) for c in x.coords) for x in points]
-        v = [tuple(c.q * (den // c.r) for c in x.coords) for x in points]
+        coords = [x.coords for x in points]
+        den = lcm(*(c.r for xy in coords for c in xy))
+        u = [(x.p * (den // x.r), y.p * (den // y.r)) for x, y in coords]
+        v = [(x.q * (den // x.r), y.q * (den // y.r)) for x, y in coords]
         return den, u, v
-
-    def _max_sq_pair(self, pairs):
-        D = self.D
-        best = None
-        for p, q in pairs:
-            if best is None or \
-               QuadraticNumber(D, p - best[0], q - best[1]).sign() > 0:
-                best = (p, q)
-        return best
 
     def max_jump(self, points) -> SqrtVal | Fraction:
         """max_i d(f(y_i), y_{i+1}) over consecutive points; 0 for one point."""
@@ -569,17 +617,15 @@ class ToralAutomorphism:
         den, us, vs = self._integer_vectors(points)
         (a, b), (c, d) = self.matrix
 
-        def jumps():
-            for (u0, u1), (v0, v1), (x0, x1), (y0, y1) in \
-                    zip(us, vs, us[1:], vs[1:]):
-                p0, q0 = _sq_dist_to_int(D, a * u0 + b * u1 - x0,
-                                         a * v0 + b * v1 - y0, den)
-                p1, q1 = _sq_dist_to_int(D, c * u0 + d * u1 - x1,
-                                         c * v0 + d * v1 - y1, den)
-                yield p0 + p1, q0 + q1
-
-        p, q = self._max_sq_pair(jumps())
-        return SqrtVal(QuadraticNumber(D, p, q, den * den))
+        jumps = []
+        for (u0, u1), (v0, v1), (x0, x1), (y0, y1) in \
+                zip(us, vs, us[1:], vs[1:]):
+            p0, q0 = _sq_dist_to_int(D, a * u0 + b * u1 - x0,
+                                     a * v0 + b * v1 - y0, den)
+            p1, q1 = _sq_dist_to_int(D, c * u0 + d * u1 - x1,
+                                     c * v0 + d * v1 - y1, den)
+            jumps.append((p0 + p1, q0 + q1))
+        return SqrtVal(QuadraticNumber(D, *_max_pair(D, jumps), den * den))
 
     def max_orbit_deviation(self, x: TorusPoint, points) -> SqrtVal:
         """max_n d(f^n(x), y_n) over the points y_0, y_1, ..."""
@@ -587,17 +633,15 @@ class ToralAutomorphism:
         den, us, vs = self._integer_vectors([x, *points])
         (a, b), (c, d) = self.matrix
 
-        def deviations():
-            (u0, u1), (v0, v1) = us[0], vs[0]
-            for (x0, x1), (y0, y1) in zip(us[1:], vs[1:]):
-                p0, q0 = _sq_dist_to_int(D, u0 - x0, v0 - y0, den)
-                p1, q1 = _sq_dist_to_int(D, u1 - x1, v1 - y1, den)
-                yield p0 + p1, q0 + q1
-                u0, u1 = a * u0 + b * u1, c * u0 + d * u1
-                v0, v1 = a * v0 + b * v1, c * v0 + d * v1
-
-        p, q = self._max_sq_pair(deviations())
-        return SqrtVal(QuadraticNumber(D, p, q, den * den))
+        devs = []
+        (u0, u1), (v0, v1) = us[0], vs[0]
+        for (x0, x1), (y0, y1) in zip(us[1:], vs[1:]):
+            p0, q0 = _sq_dist_to_int(D, u0 - x0, v0 - y0, den)
+            p1, q1 = _sq_dist_to_int(D, u1 - x1, v1 - y1, den)
+            devs.append((p0 + p1, q0 + q1))
+            u0, u1 = a * u0 + b * u1, c * u0 + d * u1
+            v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+        return SqrtVal(QuadraticNumber(D, *_max_pair(D, devs), den * den))
 
     def hyperbolic_splitting(self) -> HyperbolicSplitting:
         return self._splitting

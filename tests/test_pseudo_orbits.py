@@ -47,13 +47,6 @@ class TestPseudoOrbit:
         with pytest.raises(IndexError):
             po.point(6)
 
-    def test_known_gap_matches_recompute(self):
-        sh = full_shift(2)
-        z = SymbolicPoint.periodic((0,))
-        po = PseudoOrbit(sh, 0, (z, z.with_symbol(2, 1)), known_gap=Fraction(1, 4))
-        assert po.gap == Fraction(1, 4)
-        assert po.recompute_gap() == Fraction(1, 4)
-
     def test_gap_frozen_sft(self):
         # jump from all-zeros to a point with a 1 at index 2: after the shift
         # the mismatch sits at index 2, giving distance 2^-2

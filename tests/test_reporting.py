@@ -446,3 +446,28 @@ def test_spec_replay_checks_bracket_against_thresholds():
         assert _rejected(_forge(rec, hi=pl["hi"] + 1))
         assert _rejected(_forge(rec, level=0))
         assert _rejected(_forge(rec, level=len(pl["thresholds"])))
+
+
+ROTATION_FALSIFY_CFG = (
+    "system.kind = rotation\n"
+    "system.angle = 377/610\n"
+    "check.kind = falsify-shadowing\n"
+    "check.epsilon = 1/10\n"
+    "check.delta = 1/1000\n"
+    "check.horizon = 1000\n"
+    "check.seed = 808\n"
+)
+
+
+def test_falsify_replay_ties_threshold_to_epsilon():
+    # the shipped c8_rotation shape: 9/80 = 1/10 + 1/(2*40) sits exactly on
+    # the bound a grid of 40 points needs
+    (rec,) = run_check(parse_config(ROTATION_FALSIFY_CFG))
+    pl = rec.witness_payload
+    assert rec.outcome == "pass"
+    assert (pl["certificate"]["gridSize"], pl["certificate"]["threshold"]) == \
+        (40, "9/80")
+    assert replay_verify_record(rec)
+    assert _rejected(_forge(rec, epsilon="1"))
+    assert _rejected(_forge(rec, certificate={**pl["certificate"],
+                                              "threshold": "0"}))

@@ -12,7 +12,6 @@ from shadowspec.scalars import (
     parse_exact,
     parse_quadratic,
     rational_below_sqrt,
-    sqrt_sum_ge,
 )
 
 PHI = QuadraticNumber(5, 1, 1, 2)  # (1 + sqrt5)/2
@@ -159,13 +158,6 @@ class TestSqrtVal:
         v = SqrtVal(PHI)  # sqrt(golden ratio)
         assert v < Fraction(13, 10)
         assert v > Fraction(12, 10)
-
-    def test_triangle_sum(self):
-        one = SqrtVal(Fraction(1))
-        assert sqrt_sum_ge(one, one, SqrtVal(Fraction(4)))
-        assert not sqrt_sum_ge(one, one, SqrtVal(Fraction(5)))
-        assert sqrt_sum_ge(SqrtVal(Fraction(2)), SqrtVal(Fraction(2)),
-                           SqrtVal(Fraction(8)))
 
 
 @settings(max_examples=100, derandomize=True)

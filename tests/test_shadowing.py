@@ -1,4 +1,4 @@
-"""Tracing and falsification: calibration, splice and lattice tracers."""
+"""Tracing and falsification: calibration, splice and toral tracers."""
 
 from fractions import Fraction
 from itertools import product
@@ -16,8 +16,6 @@ from shadowspec.pseudo_orbits import (
 )
 from shadowspec.scalars import QuadraticNumber
 from shadowspec.shadowing import (
-    _shadow_toral_generic,
-    _shadow_toral_lattice,
     delta_for_epsilon,
     falsify_shadowing,
     shadow,
@@ -109,6 +107,142 @@ class TestShadowSft:
         assert cases == 2**5 * 2 * 2
 
 
+def _nearest_translate(t):
+    # round half toward the smaller integer: ceil(t - 1/2)
+    return -((QuadraticNumber(t.D, 1, 0, 2) - t).floor())
+
+
+def _oracle(sys_, po, epsilon):
+    """``shadow_toral`` step by step in ``QuadraticNumber`` arithmetic.
+
+    The same lifts, eigencomponents and corrections, with every deviation
+    read from ``distance``.  Returns the tracer, the largest deviation, the
+    per-index deviations and the largest absolute correction component.
+    """
+    eps = sys_.scalar(epsilon)
+    sp = sys_.hyperbolic_splitting()
+    vs, vu = sp.v_s, sp.v_u
+    det = vs[0] * vu[1] - vs[1] * vu[0]
+    A = sys_.matrix
+    m = len(po.points)
+
+    lifts = [tuple(po.points[0].coords)]
+    errors = []
+    for n in range(m - 1):
+        img = (A[0][0] * lifts[n][0] + A[0][1] * lifts[n][1],
+               A[1][0] * lifts[n][0] + A[1][1] * lifts[n][1])
+        nxt = tuple(y + _nearest_translate(t - y)
+                    for t, y in zip(img, po.points[n + 1].coords))
+        lifts.append(nxt)
+        errors.append((nxt[0] - img[0], nxt[1] - img[1]))
+
+    zero = sys_.scalar(0)
+    s = [zero]
+    for ex, ey in errors:
+        s.append(sp.lam_s * s[-1] - (ex * vu[1] - ey * vu[0]) / det)
+    u = [zero] * m
+    for n in range(m - 2, -1, -1):
+        ex, ey = errors[n]
+        u[n] = (u[n + 1] + (vs[0] * ey - vs[1] * ex) / det) / sp.lam_u
+
+    corrs = [(s[n] * vs[0] + u[n] * vu[0], s[n] * vs[1] + u[n] * vu[1])
+             for n in range(m)]
+    zs = [(lift[0] + cx, lift[1] + cy) for lift, (cx, cy) in zip(lifts, corrs)]
+    for n in range(m - 1):
+        img = (A[0][0] * zs[n][0] + A[0][1] * zs[n][1],
+               A[1][0] * zs[n][0] + A[1][1] * zs[n][1])
+        assert img == zs[n + 1], "corrected points are not an orbit"
+    tracer = sys_.point(*zs[0])
+    devs = tuple(sys_.distance(sys_.point(*z), y)
+                 for z, y in zip(zs, po.points))
+    assert sys_.apply(tracer, m - 1) == sys_.point(*zs[-1])
+    mx = max_metric(devs)
+    assert mx < eps
+    return tracer, mx, devs, max(abs(c) for corr in corrs for c in corr)
+
+
+TORAL_MATRICES = {
+    "D5": [[2, 1], [1, 1]],
+    "D5-det-1": [[1, 1], [1, 0]],
+    "D8-det-1": [[2, 1], [1, 0]],
+    "D12": [[3, 1], [2, 1]],
+    "D13-det-1": [[3, 1], [1, 0]],
+}
+
+
+def _jump_orbit(sys_, jump, steps):
+    """Points whose jump f(y_n) -> y_{n+1} is det^n times one small vector.
+
+    For these positive-trace matrices the sign follows that of lam_s, so a
+    jump close to the stable direction piles up in the forward sum of
+    stable components.
+    """
+    pts = [sys_.point(Fraction(1, 3), Fraction(2, 7))]
+    for n in range(steps):
+        x, y = sys_.apply(pts[-1]).coords
+        sign = sys_.det ** n
+        pts.append(sys_.point(x + sign * jump[0], y + sign * jump[1]))
+    return PseudoOrbit(sys_, 0, pts)
+
+
+def _toral_case(sys_, case):
+    """(pseudo-orbit, epsilon) for each kind of orbit the lane must handle."""
+    x = sys_.point(Fraction(1, 3), Fraction(2, 7))
+    if case == "rational":
+        x = sys_.point(Fraction(2, 9), Fraction(5, 9))
+        return perturbed_orbit(sys_, x, -4, 36, Fraction(1, 10**4), 3), \
+            Fraction(1, 12)
+    if case == "irrational":
+        # sqrt(D) mod 1, e.g. sqrt(5) - 2
+        x = sys_.point(QuadraticNumber(sys_.D, 0, 1, 1), Fraction(1, 2))
+        return perturbed_orbit(sys_, x, 0, 30, Fraction(1, 10**4), 5), \
+            Fraction(1, 12)
+    if case == "true-orbit":
+        return from_true_orbit(sys_, x, 0, 60), Fraction(1, 10)
+    if case == "long":
+        # 450 steps: the coefficients of lam_s^k grow to hundreds of bits,
+        # well past the filter's fixed-point window
+        return perturbed_orbit(sys_, x, 0, 449, Fraction(1, 10**6), 4), \
+            Fraction(1, 10**5)
+    if case == "tie":
+        # every x-jump is exactly 1/2: the lift takes the smaller translate
+        return _jump_orbit(sys_, (Fraction(1, 2), Fraction(0)), 4), 3
+    assert case == "wrap"
+    return _jump_orbit(sys_, WRAP_JUMPS[sys_.matrix], 6), 2
+
+
+# jumps close to each stable direction that push a correction past 1/2
+WRAP_JUMPS = {
+    ((2, 1), (1, 1)): (Fraction(2, 5), Fraction(-2, 5)),
+    ((1, 1), (1, 0)): (Fraction(1, 10), Fraction(-3, 10)),
+    ((2, 1), (1, 0)): (Fraction(2, 5), Fraction(-2, 5)),
+    ((3, 1), (2, 1)): (Fraction(2, 5), Fraction(-2, 5)),
+    ((3, 1), (1, 0)): (Fraction(2, 5), Fraction(-2, 5)),
+}
+TORAL_CASES = ("rational", "irrational", "true-orbit", "long", "tie", "wrap")
+
+
+@pytest.mark.parametrize("case", TORAL_CASES)
+@pytest.mark.parametrize("name", sorted(TORAL_MATRICES))
+def test_lane_matches_oracle(name, case):
+    sys_ = ToralAutomorphism(TORAL_MATRICES[name])
+    po, eps = _toral_case(sys_, case)
+    lane = shadow_toral(sys_, po, eps)
+    tracer, mx, devs, largest = _oracle(sys_, po, eps)
+    assert lane.tracer == tracer
+    assert lane.max_deviation == mx
+    assert lane.per_index_deviations == devs
+    assert lane.start == po.start
+    if case == "true-orbit":
+        # every correction is 0, so every index ties for the largest
+        # deviation and the ties are settled by exact comparison
+        assert lane.tracer == po.points[0]
+        assert all(d == 0 for d in lane.per_index_deviations)
+    if case == "wrap":
+        # a correction component past 1/2 is measured through the torus wrap
+        assert largest > Fraction(1, 2)
+
+
 class TestShadowToral:
     def test_tracer_orbit_is_exact(self):
         sys_ = cat_map()
@@ -124,58 +258,6 @@ class TestShadowToral:
             cur = sys_.apply(cur)  # z_{n+1} = A z_n, nothing else
         assert res.max_deviation < eps
 
-    @pytest.mark.parametrize("seed", [0, 3, 8, 21])
-    def test_lattice_and_generic_lanes_agree(self, seed):
-        sys_ = cat_map()
-        po = perturbed_orbit(sys_, sys_.point(Fraction(2, 9), Fraction(5, 9)),
-                             -4, 36, Fraction(1, 10**4), seed)
-        eps = sys_.scalar(Fraction(1, 12))
-        delta = delta_for_epsilon(sys_, eps)
-        fast = shadow_toral(sys_, po, Fraction(1, 12))
-        slow = _shadow_toral_generic(sys_, po, eps, delta)
-        assert fast.tracer == slow.tracer
-        assert fast.max_deviation == slow.max_deviation
-        assert fast.per_index_deviations == slow.per_index_deviations
-        assert fast.start == slow.start
-
-    @staticmethod
-    def _assert_lanes_agree(sys_, po, epsilon):
-        eps = sys_.scalar(epsilon)
-        fast = shadow_toral(sys_, po, epsilon)
-        slow = _shadow_toral_generic(sys_, po, eps, delta_for_epsilon(sys_, eps))
-        assert fast.tracer == slow.tracer
-        assert fast.max_deviation == slow.max_deviation
-        assert fast.per_index_deviations == slow.per_index_deviations
-        return fast
-
-    def test_lattice_filter_fallbacks_match_generic_lane(self):
-        sys_ = cat_map()
-        x = sys_.point(Fraction(1, 3), Fraction(2, 7))
-        # a true orbit: every correction is 0, so every index ties for the
-        # largest deviation and the ties are settled by exact comparison
-        res = self._assert_lanes_agree(sys_, from_true_orbit(sys_, x, 0, 60),
-                                       Fraction(1, 10))
-        assert res.tracer == x
-        assert all(d == 0 for d in res.per_index_deviations)
-        # 450 steps: the coefficients of lam_s^k grow to hundreds of bits,
-        # well past the filter's fixed-point window
-        po = perturbed_orbit(sys_, x, 0, 449, Fraction(1, 10**6), 4)
-        self._assert_lanes_agree(sys_, po, Fraction(1, 10**5))
-
-    def test_lattice_lane_declines_corrections_past_one_half(self):
-        # constant jumps (2/5, -2/5) lie close to the stable direction and
-        # add up to a correction beyond 1/2, which the lattice lane refuses
-        sys_ = cat_map()
-        pts = [sys_.point(Fraction(1, 3), Fraction(2, 7))]
-        for _ in range(6):
-            a, b = sys_.apply(pts[-1]).coords
-            pts.append(sys_.point(a + Fraction(2, 5), b - Fraction(2, 5)))
-        po = PseudoOrbit(sys_, 0, pts)
-        eps = sys_.scalar(2)
-        assert _shadow_toral_lattice(sys_, po, eps,
-                                     delta_for_epsilon(sys_, eps)) is None
-        self._assert_lanes_agree(sys_, po, 2)
-
     def test_deviations_read_after_return_match_walked_tracer(self):
         sys_ = cat_map()
         po = perturbed_orbit(sys_, sys_.point(Fraction(4, 11), Fraction(1, 6)),
@@ -189,22 +271,6 @@ class TestShadowToral:
             cur = sys_.apply(cur)  # z_{n+1} = A z_n, nothing else
         assert max_metric(devs) == res.max_deviation
         assert res.per_index_deviations is devs  # computed once, then kept
-
-    def test_irrational_coordinates_use_generic_lane(self):
-        sys_ = cat_map()
-        x = sys_.point(QuadraticNumber(5, -2, 1, 1), Fraction(1, 2))  # sqrt5 - 2
-        po = from_true_orbit(sys_, x, 0, 12)
-        res = shadow_toral(sys_, po, Fraction(1, 10))
-        assert res.max_deviation.is_zero()
-        assert res.tracer == x
-
-    def test_non_residue_discriminant_generic_lane(self):
-        sys_ = ToralAutomorphism([[3, 1], [2, 1]])  # D = 12, not 1 mod 4
-        po = perturbed_orbit(sys_, sys_.point(Fraction(1, 4), Fraction(3, 4)),
-                             0, 30, Fraction(1, 10**4), 2)
-        res = shadow_toral(sys_, po, Fraction(1, 10))
-        for i, y in enumerate(po.points):
-            assert sys_.distance(sys_.apply(res.tracer, i), y) < Fraction(1, 10)
 
     def test_gap_above_delta_rejected(self):
         sys_ = cat_map()
@@ -222,9 +288,10 @@ class TestShadowToral:
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 24))
-def test_toral_shadowing_sound_for_random_orbits(seed, length):
-    sys_ = cat_map()
+@given(st.integers(0, 2**32 - 1), st.integers(2, 24),
+       st.sampled_from(sorted(TORAL_MATRICES)))
+def test_toral_shadowing_sound_for_random_orbits(seed, length, name):
+    sys_ = ToralAutomorphism(TORAL_MATRICES[name])
     po = perturbed_orbit(sys_, sys_.point(Fraction(1, 5), Fraction(2, 5)),
                          0, length, Fraction(1, 10**4), seed)
     res = shadow(sys_, po, Fraction(1, 12))

@@ -13,6 +13,7 @@ from shadowspec.systems import (
     ShiftSpace,
     SymbolicPoint,
     ToralAutomorphism,
+    TorusPoint,
     cat_map,
     full_shift,
     golden_mean_shift,
@@ -168,7 +169,8 @@ class TestToralAutomorphism:
         assert diag == SqrtVal(Fraction(1, 2))
 
     def test_rejects_non_hyperbolic(self):
-        for M in ([[1, 1], [0, 1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]]):
+        for M in ([[1, 1], [0, 1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]],
+                  [[1, 0], [1, 1]], [[-1, 0], [3, 1]]):
             with pytest.raises(NotHyperbolicError):
                 ToralAutomorphism(M)
         with pytest.raises(ValueError):
@@ -180,7 +182,7 @@ class TestToralAutomorphism:
         x = sys_.point(Fraction(1, 3), Fraction(2, 3))
         assert sys_.apply(sys_.apply(x), -1) == x
 
-    def test_exact_mode_needs_dim_two(self):
+    def test_matrix_must_be_2x2(self):
         M3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
         with pytest.raises(ValueError, match="2x2"):
             ToralAutomorphism(M3)
@@ -192,6 +194,22 @@ class TestToralAutomorphism:
         sys_ = cat_map()
         with pytest.raises(MalformedPointError):
             sys_.validate_point(sys_.point(Fraction(0), Fraction(0), Fraction(0)))
+
+    @pytest.mark.parametrize("coords", [
+        # a coordinate over Q(sqrt(13)) on a D = 5 map, and one equal to 7/2
+        (QuadraticNumber(13, 0, 1, 4), QuadraticNumber(5, 7, 0, 2)),
+        (QuadraticNumber(5, 1, 0, 1), QuadraticNumber(5, 1, 0, 3)),
+        (QuadraticNumber(5, 1, 0, 3), QuadraticNumber(5, -1, 0, 3)),
+        # sqrt5 - 1 and sqrt5: irrational and past 1
+        (QuadraticNumber(5, -1, 1, 1), QuadraticNumber(5, 0, 1, 1)),
+    ], ids=["foreign-field", "one", "minus-third", "sqrt5"])
+    def test_validate_point_rejects_foreign_and_out_of_range(self, coords):
+        sys_ = cat_map()
+        x = TorusPoint(coords)
+        with pytest.raises(MalformedPointError):
+            sys_.validate_point(x)
+        with pytest.raises(MalformedPointError):
+            sys_.apply(x)
 
 
 @settings(max_examples=60, derandomize=True)
