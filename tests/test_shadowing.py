@@ -258,6 +258,20 @@ class TestShadowToral:
             cur = sys_.apply(cur)  # z_{n+1} = A z_n, nothing else
         assert res.max_deviation < eps
 
+    @pytest.mark.parametrize("seed", [0, 3, 8, 21])
+    def test_lattice_and_generic_lanes_agree(self, seed):
+        # the one integer lane against the step-by-step QuadraticNumber
+        # oracle (the former generic lane), over several perturbation seeds
+        sys_ = cat_map()
+        po = perturbed_orbit(sys_, sys_.point(Fraction(2, 9), Fraction(5, 9)),
+                             -4, 36, Fraction(1, 10**4), seed)
+        res = shadow_toral(sys_, po, Fraction(1, 12))
+        tracer, mx, devs, _ = _oracle(sys_, po, Fraction(1, 12))
+        assert res.tracer == tracer
+        assert res.max_deviation == mx
+        assert res.per_index_deviations == devs
+        assert res.start == po.start
+
     def test_deviations_read_after_return_match_walked_tracer(self):
         sys_ = cat_map()
         po = perturbed_orbit(sys_, sys_.point(Fraction(4, 11), Fraction(1, 6)),
