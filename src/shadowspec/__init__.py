@@ -8,11 +8,9 @@ from .barycenter import (
     HyperbolicPeriodicPoint,
     as_periodic,
     barycenter_point,
-    check_same_index,
     cut_witness,
     extract_heteroclinic,
     heteroclinic_point,
-    index_of,
     periodic_points,
     verify_barycenter,
 )

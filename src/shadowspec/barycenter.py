@@ -1,10 +1,12 @@
 """Periodic points, heteroclinic intersections, and barycenter witnesses.
 
 Everything here is exact: periodic points are enumerated from integer
-linear algebra or admissible words, heteroclinic points are solved in the
-eigenline coordinates of Q(sqrt(D)) or spliced symbolically, and every
-"for all j beyond the window" condition is certified by a one-step
-contraction inequality at the window edge.
+linear algebra or admissible words and carry only their minimal period,
+heteroclinic points are solved in the eigenline coordinates of Q(sqrt(D))
+or spliced symbolically, and every "for all j beyond the window" condition
+is certified by a one-step contraction inequality at the window edge.
+``barycenter_point`` ends with ``verify_barycenter`` on the requested
+ranges, so its result needs no second check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .scalars import SqrtVal
-from .systems import ShiftSpace, SymbolicPoint, ToralAutomorphism
+from .systems import ShiftSpace, SymbolicPoint, ToralAutomorphism, _primitive
 
 PERIOD_BOUND = 8
 _SHELL_HORIZON = 64
@@ -34,14 +36,10 @@ _BRIDGE_HORIZON = 24
 
 @dataclass(frozen=True)
 class HyperbolicPeriodicPoint:
-    """A periodic point with its minimal period and local-manifold size."""
+    """A periodic point with its minimal period."""
 
     point: object
     period: int
-    local_size: object
-    stable_data: tuple
-    unstable_data: tuple
-    index: int
 
 
 def _orbit(sys, point, period):
@@ -51,61 +49,17 @@ def _orbit(sys, point, period):
     return pts
 
 
-def _local_size(sys, orbit):
-    if len(orbit) == 1:
-        return Fraction(1, 10)
-    best = None
-    for i in range(len(orbit)):
-        for j in range(i + 1, len(orbit)):
-            d = sys.distance(orbit[i], orbit[j])
-            if best is None or d < best:
-                best = d
-    size = best * Fraction(1, 10)
-    if size < Fraction(1, 100):
-        return Fraction(1, 100)
-    return size
-
-
-def _wrap_toral(sys, point, period):
-    orbit = _orbit(sys, point, period)
-    sp = sys.hyperbolic_splitting()
-    return HyperbolicPeriodicPoint(
-        point, period, _local_size(sys, orbit),
-        stable_data=("eigenline", sp.v_s, sp.lam_s),
-        unstable_data=("eigenline", sp.v_u, sp.lam_u),
-        index=1)
-
-
-def _wrap_sft(sys, point, period):
-    return HyperbolicPeriodicPoint(
-        point, period, Fraction(1, 2),
-        stable_data=("agree-forward",),
-        unstable_data=("agree-backward",),
-        index=1)
-
-
-def _minimal_word_period(word):
-    k = len(word)
-    for d in range(1, k + 1):
-        if k % d == 0 and all(word[i] == word[i % d] for i in range(k)):
-            return d
-    return k
-
-
 def periodic_points(sys, k: int, bound: int = PERIOD_BOUND):
-    """All points with f^k(x) = x, each wrapped with its minimal period."""
+    """All points with f^k(x) = x, each with its minimal period."""
     if k < 1:
         raise ValueError("period must be at least 1")
     if k > bound:
         raise BudgetExceededError(f"period {k} exceeds the bound {bound}")
     if isinstance(sys, ShiftSpace):
-        out = []
-        for word in sys.words(k):
-            if not sys.transition[word[-1]][word[0]]:
-                continue
-            out.append(_wrap_sft(sys, SymbolicPoint.periodic(word),
-                                 _minimal_word_period(word)))
-        return out
+        return [HyperbolicPeriodicPoint(SymbolicPoint.periodic(word),
+                                        len(_primitive(word)))
+                for word in sys.words(k)
+                if sys.transition[word[-1]][word[0]]]
     if isinstance(sys, ToralAutomorphism):
         M = sys.matrix_power(k)
         b00, b01 = M[0][0] - 1, M[0][1]
@@ -126,40 +80,22 @@ def periodic_points(sys, k: int, bound: int = PERIOD_BOUND):
         out = []
         for fx, fy in sorted(seen):
             pt = sys.point(fx, fy)
-            period = k
-            for d in range(1, k):
-                if k % d == 0 and sys.apply(pt, d) == pt:
-                    period = d
-                    break
-            out.append(_wrap_toral(sys, pt, period))
+            period = next(d for d in range(1, k + 1)
+                          if k % d == 0 and (d == k or sys.apply(pt, d) == pt))
+            out.append(HyperbolicPeriodicPoint(pt, period))
         return out
     raise UnsupportedSystemError(
         f"no periodic-point enumeration for {type(sys).__name__}")
 
 
 def as_periodic(sys, point, bound: int = 64) -> HyperbolicPeriodicPoint:
-    """Wrap a point after finding its minimal period by direct iteration."""
+    """A point with its minimal period, found by direct iteration."""
     cur = point
     for d in range(1, bound + 1):
         cur = sys.apply(cur)
         if cur == point:
-            if isinstance(sys, ShiftSpace):
-                return _wrap_sft(sys, point, d)
-            return _wrap_toral(sys, point, d)
+            return HyperbolicPeriodicPoint(point, d)
     raise ValueError(f"point is not periodic within {bound} steps")
-
-
-def index_of(sys, p: HyperbolicPeriodicPoint) -> int:
-    """Dimension of the stable direction (uniform over the system)."""
-    if isinstance(sys, ToralAutomorphism):
-        sp = sys.hyperbolic_splitting()
-        return 1 if abs(sp.lam_s) < 1 else 0
-    return 1
-
-
-def check_same_index(sys, p: HyperbolicPeriodicPoint,
-                     q: HyperbolicPeriodicPoint) -> bool:
-    return index_of(sys, p) == index_of(sys, q)
 
 
 # -- heteroclinic intersections ----------------------------------------------

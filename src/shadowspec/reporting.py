@@ -250,11 +250,11 @@ def _replay_spec(sys, payload: dict) -> bool:
         return False
     segments = [(decode_point(sys, t), int(n))
                 for t, n in payload["segments"]]
-    ok, _ = check_specification(
+    ok, _, devs = check_specification(
         sys, decode_point(sys, payload["tracer"]),
         tuple(payload["switchTimes"]), payload["period"], segments,
         decode_scalar(payload["epsilon"]), payload["lo"], payload["hi"])
-    return ok
+    return ok and [encode_scalar(d) for d in devs] == payload["maxDeviations"]
 
 
 def _replay_barycenter(sys, payload: dict) -> bool:
@@ -263,13 +263,14 @@ def _replay_barycenter(sys, payload: dict) -> bool:
     if p.period != payload["pPeriod"] or q.period != payload["qPeriod"]:
         return False
     X, half = payload["X"], payload["N1"]
+    n_1, n_2 = payload["n1"], payload["n2"]
     if not (X == payload["N"] == 2 * half
-            and half % lcm(p.period, q.period) == 0):
+            and half % lcm(p.period, q.period) == 0
+            and payload["inequalities"] == n_1 + n_2 + 2):
         return False
     return verify_barycenter(sys, decode_point(sys, payload["x"]),
                              X, p, q,
-                             decode_scalar(payload["epsilon"]),
-                             payload["n1"], payload["n2"])
+                             decode_scalar(payload["epsilon"]), n_1, n_2)
 
 
 def _replay_heteroclinic(sys, payload: dict) -> bool:
@@ -297,9 +298,15 @@ def _replay_periodic(sys, payload: dict) -> bool:
         return False
     if payload["count"] != payload["expectedCount"]:
         return False
-    for text in encodings:
+    periods = payload["periods"]
+    if len(periods) != len(encodings):
+        return False
+    for text, period in zip(encodings, periods):
         pt = decode_point(sys, text)
-        if not sys.apply(pt, k) == pt:
+        # the least divisor d of k with f^d(x) = x; None unless f^k(x) = x
+        least = next((d for d in range(1, k + 1)
+                      if k % d == 0 and sys.apply(pt, d) == pt), None)
+        if least != period:
             return False
     return True
 

@@ -54,6 +54,19 @@ def format_exact(value: Rational) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _floor_quad(D: int, u: int, v: int, den: int) -> int:
+    """floor((u + v*sqrt(D)) / den) for den > 0 and non-square D, by one isqrt.
+
+    For v != 0, v*sqrt(D) is irrational and lies strictly between the
+    integers s and s + 1 with s = floor(v*sqrt(D)), so the floor of the
+    quotient is that of (u + s) / den.
+    """
+    if v == 0:
+        return u // den
+    s = isqrt(v * v * D)
+    return (u + s) // den if v > 0 else (u - s - 1) // den
+
+
 class QuadraticNumber:
     """An element (p + q*sqrt(D)) / r of Q(sqrt(D)) with integer p, q, r.
 
@@ -231,17 +244,7 @@ class QuadraticNumber:
         return Fraction(self.p, self.r)
 
     def floor(self) -> int:
-        if self.q == 0:
-            return self.p // self.r
-        s = isqrt(self.q * self.q * self.D)
-        if self.q < 0:
-            s = -(s + 1)  # irrational, so isqrt truncation is strict
-        n = (self.p + s) // self.r
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        while self._cmp(n) < 0:
-            n -= 1
-        return n
+        return _floor_quad(self.D, self.p, self.q, self.r)
 
     def mod1(self) -> "QuadraticNumber":
         return self - self.floor()
@@ -280,6 +283,8 @@ def parse_quadratic(text: str, D: int) -> QuadraticNumber:
         return QuadraticNumber.from_rational(D, a)
     if int(m.group("d")) != D:
         raise ValueError(f"radicand mismatch: expected √{D}, got √{m.group('d')}")
+    if isqrt(D) ** 2 == D:
+        raise ValueError(f"√{D} is rational")
     b = parse_exact(m.group("b")) if m.group("b") else Fraction(1)
     if m.group("sign") == "-":
         b = -b

@@ -21,7 +21,7 @@ from .errors import (
     InternalInvariantError,
     UnsupportedSystemError,
 )
-from .scalars import QuadraticNumber, SqrtVal, rational_below_sqrt
+from .scalars import QuadraticNumber, SqrtVal, _floor_quad, rational_below_sqrt
 from .systems import (
     CircleRotation,
     PermutationSystem,
@@ -29,7 +29,6 @@ from .systems import (
     SymbolicPoint,
     ToralAutomorphism,
     _bracket,
-    _floor_quad,
     _max_filtered,
     _max_pair,
     _pair_mul,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .pseudo_orbits import concatenate
-from .scalars import QuadraticNumber
+from .scalars import QuadraticNumber, _floor_quad
 from .shadowing import delta_for_epsilon, shadow
 from .systems import ShiftSpace, ToralAutomorphism
 
@@ -206,17 +207,28 @@ def _sft_level(sys: ShiftSpace, cover: Cover, n: int, m_prev: int,
     return _SftLevel(entries, bridges, threshold)
 
 
-def _grid_index(coord, per: int) -> int:
-    return (coord.mod1() * per).floor()
+def _cell_lane(D: int, per: int, base, slope):
+    """k -> floor(per * frac(base + k*slope)), for base and slope in Q(sqrt(D)).
+
+    per * (base + k*slope) is (u + k*du + (v + k*dv)*sqrt(D)) / R over one
+    denominator R, and floor(per * frac(x)) = floor(per * x) mod per.
+    """
+    a, b = per * base, per * slope
+    R = lcm(a.r, b.r)
+    u, v = a.p * (R // a.r), a.q * (R // a.r)
+    du, dv = b.p * (R // b.r), b.q * (R // b.r)
+    return lambda k: _floor_quad(D, u + k * du, v + k * dv, R) % per
 
 
 def _toral_sweep(sys: ToralAutomorphism, cover: Cover, X: int):
     """Verified witnesses of the base box reaching every cell in X steps.
 
     Trial points sit on the unstable strand through the base box; a float
-    raster proposes one candidate per cell and each candidate is verified
-    in exact arithmetic before it counts.  Returns None when some cell
-    stays unreached at this sampling density.
+    raster proposes one candidate k per cell, and the candidates are
+    verified in exact arithmetic, earliest first, before they count: the
+    image of candidate k is affine in k, so ``_cell_lane`` gives its cell
+    by one isqrt per coordinate.  Returns None when some cell stays
+    unreached at this sampling density.
     """
     sp = sys.hyperbolic_splitting()
     sigma = sp.v_u[1]
@@ -256,14 +268,13 @@ def _toral_sweep(sys: ToralAutomorphism, cover: Cover, X: int):
     if len(candidates) < per * per:
         return None, y0
 
+    col_x = _cell_lane(sys.D, per, base_x, img_dx * step)
+    col_y = _cell_lane(sys.D, per, base_y, img_dy * step)
     witnesses = {}
-    for cell, k in sorted(candidates.items(), key=lambda kv: kv[1]):
-        t = k * step
-        ex = img_dx * t + base_x
-        ey = img_dy * t + base_y
-        exact = _grid_index(ex, per) * per + _grid_index(ey, per)
+    for k in sorted(candidates.values()):
+        exact = col_x(k) * per + col_y(k)
         if exact not in witnesses:
-            witnesses[exact] = t
+            witnesses[exact] = k * step
     if len(witnesses) < per * per:
         return None, y0
     return witnesses, y0
@@ -328,7 +339,6 @@ class SpecificationResult:
     switch_times: tuple
     level: int
     epsilon: object
-    gaps_ok: bool
     per_segment_max_deviation: tuple
     period: int
 
@@ -401,9 +411,7 @@ def specification_point(sys, segments, epsilon, level: int,
     if not ok:
         bad = next(label for label, good in checks if not good)
         raise InternalInvariantError(f"specification check failed: {bad}")
-    gaps_ok = all(good for label, good in checks if label.startswith("gap"))
-    return SpecificationResult(z, switch, level, epsilon, gaps_ok,
-                               tuple(devs), period)
+    return SpecificationResult(z, switch, level, epsilon, tuple(devs), period)
 
 
 def _run_checks(sys, z, switch, period, segments, epsilon, lo, hi):
@@ -458,9 +466,10 @@ def check_specification(sys, tracer, switch_times, period, segments,
     """Like verify_specification, but from stored gap bounds.
 
     Useful when the schedule itself is not at hand: the caller supplies the
-    bracket [lo, hi] the gaps were required to land in.
+    bracket [lo, hi] the gaps were required to land in.  Returns (passed,
+    checks, devs) with devs the largest deviation on each segment.
     """
     segments = [(x, int(n)) for x, n in segments]
-    ok, checks, _ = _run_checks(sys, tracer, tuple(switch_times), period,
-                                segments, epsilon, lo, hi)
-    return ok, tuple(checks)
+    ok, checks, devs = _run_checks(sys, tracer, tuple(switch_times), period,
+                                   segments, epsilon, lo, hi)
+    return ok, tuple(checks), tuple(devs)

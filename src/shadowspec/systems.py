@@ -17,7 +17,7 @@ from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import MalformedPointError, NotHyperbolicError
-from .scalars import QuadraticNumber, SqrtVal
+from .scalars import QuadraticNumber, SqrtVal, _floor_quad
 
 Word = tuple[int, ...]
 
@@ -416,19 +416,6 @@ def _mat_mul(A, B):
 # 2^k * (p + q*sqrt(D)) lies within |q| of (p << k) + q*isqrt(D * 4^k)
 # (``_bracket``), so most comparisons settle on those intervals and an
 # exact sign runs only where the intervals overlap (``_max_filtered``).
-
-
-def _floor_quad(D: int, u: int, v: int, den: int) -> int:
-    """floor((u + v*sqrt(D)) / den) for den > 0, by one isqrt.
-
-    For v != 0, v*sqrt(D) is irrational and lies strictly between the
-    integers s and s + 1 with s = floor(v*sqrt(D)), so the floor of the
-    quotient is that of (u + s) / den.
-    """
-    if v == 0:
-        return u // den
-    s = isqrt(v * v * D)
-    return (u + s) // den if v > 0 else (u - s - 1) // den
 
 
 def _sq_dist_to_int(D: int, u: int, v: int, den: int) -> tuple[int, int]:

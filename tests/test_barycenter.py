@@ -9,11 +9,9 @@ from shadowspec.barycenter import (
     BarycenterWitness,
     as_periodic,
     barycenter_point,
-    check_same_index,
     cut_witness,
     extract_heteroclinic,
     heteroclinic_point,
-    index_of,
     periodic_points,
 )
 from shadowspec.errors import (
@@ -91,27 +89,6 @@ class TestPeriodicPoints:
         assert len(pts) == count_oracle_sft(((1, 1), (1, 0)), 3) == 4
         assert sorted(hp.period for hp in pts) == [1, 3, 3, 3]
 
-    def test_local_size_sft_is_half(self):
-        sh = full_shift(2)
-        assert all(hp.local_size == Fraction(1, 2)
-                   for hp in periodic_points(sh, 2))
-
-    def test_local_size_toral_recomputed(self):
-        sys_ = cat_map()
-        for hp in periodic_points(sys_, 2):
-            orbit = [hp.point]
-            for _ in range(hp.period - 1):
-                orbit.append(sys_.apply(orbit[-1]))
-            if len(orbit) == 1:
-                assert hp.local_size == Fraction(1, 10)
-                continue
-            dists = [sys_.distance(orbit[i], orbit[j])
-                     for i in range(len(orbit)) for j in range(i + 1, len(orbit))]
-            expected = min(dists) * Fraction(1, 10)
-            if expected < Fraction(1, 100):
-                expected = Fraction(1, 100)
-            assert hp.local_size == expected
-
     def test_period_bound_and_bad_input(self):
         sys_ = cat_map()
         with pytest.raises(BudgetExceededError):
@@ -128,15 +105,6 @@ class TestPeriodicPoints:
         assert hq.period == 2
         with pytest.raises(ValueError):
             as_periodic(sys_, sys_.point(Fraction(1, 3), Fraction(0)), bound=2)
-
-    def test_index(self):
-        sys_ = cat_map()
-        pts = periodic_points(sys_, 2)
-        assert all(index_of(sys_, hp) == 1 for hp in pts)
-        assert check_same_index(sys_, pts[0], pts[1])
-        sh = full_shift(2)
-        sft_pts = periodic_points(sh, 1)
-        assert index_of(sh, sft_pts[0]) == 1
 
 
 class TestHeteroclinic:

@@ -410,6 +410,13 @@ def test_barycenter_replay_checks_times_agree():
     assert _rejected(_forge(rec, N1=pl["N1"] + 1))
 
 
+def test_barycenter_replay_checks_inequality_count():
+    (rec,) = run_check(parse_config(BARYCENTER_CFG))
+    pl = rec.witness_payload
+    assert pl["inequalities"] == pl["n1"] + pl["n2"] + 2
+    assert _rejected(_forge(rec, inequalities=3))
+
+
 def test_barycenter_replay_checks_period_divisibility():
     # p of period 2, q fixed: the half-time must be a multiple of 2
     cfg = BARYCENTER_CFG.replace("check.p = 0~-~0@0", "check.p = 01~-~01@0")
@@ -446,6 +453,41 @@ def test_spec_replay_checks_bracket_against_thresholds():
         assert _rejected(_forge(rec, hi=pl["hi"] + 1))
         assert _rejected(_forge(rec, level=0))
         assert _rejected(_forge(rec, level=len(pl["thresholds"])))
+
+
+def test_spec_replay_checks_max_deviations():
+    for rec in run_check(parse_config(SPEC_CFG)):
+        pl = rec.witness_payload
+        zeroed = ["0"] * len(pl["maxDeviations"])
+        assert zeroed != pl["maxDeviations"]
+        assert _rejected(_forge(rec, maxDeviations=zeroed))
+
+
+PERIODIC_CFG = (
+    "system.kind = toral\n"
+    "system.matrix = 2 1 ; 1 1\n"
+    "check.kind = periodic-points\n"
+    "check.maxPeriod = 3\n"
+)
+
+
+def test_periodic_replay_checks_minimal_periods():
+    records = run_check(parse_config(PERIODIC_CFG))
+    assert replay_verify(records)
+    for rec in records[1:]:
+        pl = rec.witness_payload
+        assert set(pl["periods"]) == {1, pl["k"]}
+        assert _rejected(_forge(rec, periods=[1] * len(pl["periods"])))
+        assert _rejected(_forge(rec, periods=pl["periods"][1:]))
+
+
+def test_replay_rejects_square_radicand(shadow_records):
+    # "m-2+1√4" equals m, so an epsilon of that text would sit exactly on
+    # the max deviation; a square radicand is refused before any sign
+    for rec in shadow_records:
+        m = decode_scalar(rec.witness_payload["maxDeviation"])
+        assert replay_verify_record(rec)
+        assert _rejected(_forge(rec, epsilon=f"{encode_scalar(m - 2)}+1√4"))
 
 
 ROTATION_FALSIFY_CFG = (

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: quadratic field elements and roots."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from shadowspec.scalars import (
     QuadraticNumber,
     SqrtVal,
+    _floor_quad,
     format_exact,
     parse_exact,
     parse_quadratic,
@@ -45,8 +47,11 @@ class TestParseFormat:
         for x in (PHI, QuadraticNumber(5, 15, -3, 10),
                   QuadraticNumber.from_rational(5, Fraction(-7, 3))):
             assert parse_quadratic(str(x), 5) == x
-        with pytest.raises(ValueError):
-            parse_quadratic("1+1√8", 5)
+        # a foreign radicand, then square ones, whose sqrt is rational
+        for text, D in (("1+1√8", 5), ("-15/8+1√4", 4), ("1√9", 9),
+                        ("2-3√1", 1), ("1+1√0", 0)):
+            with pytest.raises(ValueError):
+                parse_quadratic(text, D)
 
 
 class TestQuadraticNumber:
@@ -116,6 +121,22 @@ def test_field_axioms(p1, q1, r1, p2, q2, r2):
     f = x.floor()
     assert f <= x < f + 1
     assert 0 <= x.mod1() < 1
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.sampled_from([5, 8, 12, 13]), st.integers(-2**200, 2**200),
+       st.integers(-2**200, 2**200), st.integers(1, 2**200),
+       st.integers(-2, 2))
+def test_floor_brackets_value(D, p, q, r, nudge):
+    # a nonzero nudge puts p next to -q*sqrt(D), so x lies within about
+    # 2/r of 0, where a floor off by one shows first
+    if nudge:
+        s = isqrt(q * q * D)
+        p = (-s if q > 0 else s) + nudge
+    x = QuadraticNumber(D, p, q, r)
+    for f in (_floor_quad(D, p, q, r), x.floor()):
+        # comparisons decide by sign(), which never calls floor
+        assert f <= x < f + 1
 
 
 @settings(max_examples=100, derandomize=True)
