@@ -30,7 +30,6 @@ from .pseudo_orbits import (
     concatenate,
     from_true_orbit,
     max_metric,
-    perturb,
     perturbed_orbit,
 )
 from .reporting import (
@@ -70,7 +69,6 @@ from .specification import (
     find_connector,
     specification_point,
     transition_times,
-    verify_specification,
 )
 from .systems import (
     CircleRotation,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from itertools import product
 
 from .errors import (
@@ -67,13 +67,14 @@ def periodic_points(sys, k: int, bound: int = PERIOD_BOUND):
         det = b00 * b11 - b01 * b10
         if det == 0:
             raise InternalInvariantError("A^k - I is singular")
+        # The points are B^-1 Z^2 mod 1, B = A^k - I.  B's column Hermite form
+        # is [[g, 0], [c, n/g]] with g the gcd of its first row, so (i, j) in
+        # [0, g) x [0, n/g) meet each coset of Z^2 / B Z^2 once (Cohen, 2.4.3).
         n = abs(det)
-        seen = {}
-        for mx in range(n):
-            for my in range(n):
-                x = Fraction(b11 * mx - b01 * my, det) % 1
-                y = Fraction(b00 * my - b10 * mx, det) % 1
-                seen[(x, y)] = True
+        g = gcd(b00, b01)
+        seen = {(Fraction(b11 * i - b01 * j, det) % 1,
+                 Fraction(b00 * j - b10 * i, det) % 1)
+                for i in range(g) for j in range(n // g)}
         if len(seen) != n:
             raise InternalInvariantError(
                 f"found {len(seen)} solutions, expected {n}")
@@ -332,6 +333,19 @@ def cut_witness(result: BarycenterResult, depth: int) -> BarycenterWitness:
     pairs = tuple((result.x, result.X) for _ in range(depth))
     return BarycenterWitness(pairs, result.epsilon, result.p, result.q,
                              result.N)
+
+
+def _heteroclinic_bound(sys, epsilon, depth: int):
+    """2 * epsilon * rate^depth, the most a depth-m witness may miss z_het by.
+
+    The rate is |lambda_s| on a torus and 1/2 on a shift.
+    """
+    if isinstance(sys, ToralAutomorphism):
+        lam = sys.hyperbolic_splitting().lam_s
+        rate = lam if lam.sign() > 0 else -lam
+    else:
+        rate = Fraction(1, 2)
+    return 2 * epsilon * rate**depth
 
 
 def extract_heteroclinic(sys, w: BarycenterWitness):

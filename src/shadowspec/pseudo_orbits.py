@@ -1,9 +1,11 @@
-"""Finite pseudo-orbits: construction, perturbation, concatenation.
+"""Finite pseudo-orbits: true orbits, seeded perturbations, concatenation.
 
 A pseudo-orbit is a finite indexed sequence y_a..y_b whose jump errors
-d(f(y_n), y_{n+1}) stay below some delta.  Everything here is exact: the gap
-is an exact scalar and recomputing it reproduces the cached value bit for
-bit.
+d(f(y_n), y_{n+1}) stay below some delta.  ``perturbed_orbit`` is the one
+perturbation entry point: it jitters a true orbit within delta, one lane per
+system family, and never measures a gap; the code that uses a pseudo-orbit
+checks its gap.  Everything here is exact: the gap is an exact scalar and
+recomputing it reproduces the cached value bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import CalibrationError, UnsupportedSystemError
-from .scalars import QuadraticNumber
+from .scalars import QuadraticNumber, _floor_quad
 from .systems import (
     CircleRotation,
     PermutationSystem,
@@ -91,21 +93,6 @@ class PseudoOrbit:
                  for i in range(len(self.points) - 1)]
         return max_metric(jumps)
 
-    def is_valid(self, delta) -> bool:
-        return self.gap <= delta
-
-    def gap_rational(self) -> Fraction:
-        """Rational upper bound on the gap, for perturbation budgets."""
-        gap = self.gap
-        if isinstance(gap, (Fraction, int)):
-            return Fraction(gap)
-        guess = Fraction(float(gap)).limit_denominator(10**15)
-        step = Fraction(1, 10**12)
-        while not gap <= guess:
-            guess += step
-            step *= 2
-        return guess
-
 
 def from_true_orbit(sys, x, a: int, b: int) -> PseudoOrbit:
     """The genuine orbit segment f^a(x)..f^b(x); its gap is 0."""
@@ -122,18 +109,8 @@ def _jitter(rng: random.Random, h: Fraction) -> Fraction:
                     _JITTER_STEPS) * h
 
 
-def _perturb_toral(sys: ToralAutomorphism, po: PseudoOrbit, delta, rng):
-    # Each point moves by at most h per coordinate; a jump then grows by at
-    # most sqrt(2) * h * (|A|_inf + 1) < delta - gap.
-    norm = max(sum(abs(v) for v in row) for row in sys.matrix)
-    h = (delta - po.gap_rational()) / (2 * (norm + 1))
-    pts = [sys.point(*[c + _jitter(rng, h) for c in p.coords])
-           for p in po.points]
-    return PseudoOrbit(sys, po.start, pts)
-
-
 def _perturb_rotation(sys: CircleRotation, po: PseudoOrbit, delta, rng):
-    h = (delta - po.gap) / 2
+    h = delta / 2
     return PseudoOrbit(sys, po.start,
                        [sys.point(p + _jitter(rng, h)) for p in po.points])
 
@@ -199,78 +176,68 @@ def _perturb_permutation(sys: PermutationSystem, po: PseudoOrbit, delta, rng):
     return PseudoOrbit(sys, po.start, pts)
 
 
-def perturb(sys, po: PseudoOrbit, delta, seed: int) -> PseudoOrbit:
-    """A seeded perturbation of ``po`` whose gap stays at most ``delta``.
+def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
+    # Each point moves by at most h per coordinate; a jump then grows by at
+    # most sqrt(2) * h * (|A|_inf + 1) < delta.  Point n of the true orbit is
+    # (u + v*sqrt(D)) / Q with u reduced mod Q, an integer translate that
+    # leaves the point on the torus unchanged, and each jittered coordinate
+    # c + j*h/2^16 is one pair over L = lcm(Q, 2^16 * denominator(h)),
+    # reduced to [0, 1) by one floor.
+    Q, ((x0, x1),), ((y0, y1),) = sys._integer_vectors([x])
+    (m00, m01), (m10, m11) = sys.matrix_power(a)
+    u0, u1 = (m00 * x0 + m01 * x1) % Q, (m10 * x0 + m11 * x1) % Q
+    v0, v1 = m00 * y0 + m01 * y1, m10 * y0 + m11 * y1
+    (a00, a01), (a10, a11) = A = sys.matrix
+    norm = max(sum(abs(e) for e in row) for row in A)
+    h = sys.scalar(delta) / (2 * (norm + 1))
+    L = lcm(Q, _JITTER_STEPS * h.r)
+    c_scale = L // Q
+    j_scale = L // (_JITTER_STEPS * h.r)
+    jp, jq = h.p * j_scale, h.q * j_scale
+    D = sys.D
+    draw = rng.randrange
 
-    The perturbation budget is delta minus the current gap; a pseudo-orbit
-    already exceeding delta cannot be repaired by adding noise.
-    """
-    if delta == 0:
-        return po
-    if not po.gap <= delta:
-        raise CalibrationError(f"gap {po.gap} already exceeds delta {delta}")
-    rng = random.Random(seed)
-    if isinstance(sys, ToralAutomorphism):
-        return _perturb_toral(sys, po, delta, rng)
-    if isinstance(sys, CircleRotation):
-        return _perturb_rotation(sys, po, delta, rng)
-    if isinstance(sys, ShiftSpace):
-        return _perturb_sft(sys, po, delta, rng)
-    if isinstance(sys, PermutationSystem):
-        return _perturb_permutation(sys, po, delta, rng)
-    raise UnsupportedSystemError(
-        f"perturbation is not defined for {type(sys).__name__}")
+    def jittered(cu, cv):
+        j = draw(-_JITTER_STEPS, _JITTER_STEPS + 1)
+        p, q = cu * c_scale + jp * j, cv * c_scale + jq * j
+        return QuadraticNumber(D, p - _floor_quad(D, p, q, L) * L, q, L)
+
+    pts = []
+    for _ in range(a, b + 1):
+        pts.append(TorusPoint((jittered(u0, v0), jittered(u1, v1))))
+        u0, u1 = (a00 * u0 + a01 * u1) % Q, (a10 * u0 + a11 * u1) % Q
+        v0, v1 = a00 * v0 + a01 * v1, a10 * v0 + a11 * v1
+    return PseudoOrbit(sys, a, pts)
 
 
 def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:
-    """``from_true_orbit`` followed by ``perturb`` in one pass.
+    """A seeded perturbation of the true orbit f^a(x)..f^b(x) with gap <= delta.
 
-    For a toral system with rational data the whole orbit lives on
-    one integer lattice, so the true orbit is iterated with plain integer
-    matrix arithmetic instead of field operations.  Each jittered
-    coordinate c/Q + j*h/2^16 is then built as one integer over the single
-    denominator L = lcm(Q, 2^16 * denominator(h)) and reduced mod L, with
-    no Fraction arithmetic.  The draws and the resulting points are
-    identical to the two-step construction.
+    The true orbit's gap is 0, so the whole of delta is the jitter budget.
+    Tori perturb on integer pairs over one denominator, for rational and
+    irrational x and delta alike; the other families perturb the
+    ``from_true_orbit`` points.  A negative delta raises CalibrationError,
+    and delta = 0 gives the true orbit.
     """
-    if isinstance(delta, (int, Fraction)):
-        delta_f = Fraction(delta)
-    elif hasattr(delta, "is_rational") and delta.is_rational():
-        delta_f = delta.as_fraction()
-    else:
-        delta_f = None
-    if not (isinstance(sys, ToralAutomorphism)
-            and delta_f is not None and delta_f > 0 and a <= b
-            and all(c.is_rational() for c in x.coords)):
-        return perturb(sys, from_true_orbit(sys, x, a, b), delta, seed)
-    fracs = [c.as_fraction() for c in x.coords]
-    Q = lcm(*(f.denominator for f in fracs))
-    vec = tuple(f.numerator * (Q // f.denominator) % Q for f in fracs)
-    if a:
-        (m00, m01), (m10, m11) = sys.matrix_power(a)
-        vec = ((m00 * vec[0] + m01 * vec[1]) % Q,
-               (m10 * vec[0] + m11 * vec[1]) % Q)
-    A = sys.matrix
-    (a00, a01), (a10, a11) = A
-    lattice = [vec]
-    for _ in range(b - a):
-        v0, v1 = lattice[-1]
-        lattice.append(((a00 * v0 + a01 * v1) % Q, (a10 * v0 + a11 * v1) % Q))
-    norm = max(sum(abs(v) for v in row) for row in A)
-    h = delta_f / (2 * (norm + 1))
-    # c/Q + j*h/_JITTER_STEPS over the one denominator L, reduced mod 1
-    L = lcm(Q, _JITTER_STEPS * h.denominator)
-    q_scale = L // Q
-    j_scale = h.numerator * (L // (_JITTER_STEPS * h.denominator))
-    D = sys.D
+    if a > b:
+        raise ValueError(f"empty index range [{a}, {b}]")
+    if delta < 0:
+        raise CalibrationError(f"negative delta {delta}")
+    if delta == 0:
+        return from_true_orbit(sys, x, a, b)
     rng = random.Random(seed)
-    draw = rng.randrange
-    pts = [TorusPoint(tuple(
-        QuadraticNumber(D, (c * q_scale + j_scale
-                            * draw(-_JITTER_STEPS, _JITTER_STEPS + 1)) % L,
-                        0, L)
-        for c in v)) for v in lattice]
-    return PseudoOrbit(sys, a, pts)
+    if isinstance(sys, ToralAutomorphism):
+        return _perturbed_toral(sys, x, a, b, delta, rng)
+    if isinstance(sys, CircleRotation):
+        perturb = _perturb_rotation
+    elif isinstance(sys, ShiftSpace):
+        perturb = _perturb_sft
+    elif isinstance(sys, PermutationSystem):
+        perturb = _perturb_permutation
+    else:
+        raise UnsupportedSystemError(
+            f"perturbation is not defined for {type(sys).__name__}")
+    return perturb(sys, from_true_orbit(sys, x, a, b), delta, rng)
 
 
 def concatenate(sys, segments: Sequence[tuple], connectors: Sequence[tuple]):

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .barycenter import BarycenterWitness, as_periodic, extract_heteroclinic, verify_barycenter
+from .barycenter import (BarycenterWitness, _heteroclinic_bound, as_periodic,
+                         extract_heteroclinic, verify_barycenter)
 from .codecs import decode_point, decode_scalar, encode_point, encode_scalar
 from .errors import SchemaMismatchError, ShadowspecError
 from .pseudo_orbits import PseudoOrbit, max_metric, perturbed_orbit
@@ -277,14 +278,18 @@ def _replay_heteroclinic(sys, payload: dict) -> bool:
     p = as_periodic(sys, decode_point(sys, payload["p"]))
     q = as_periodic(sys, decode_point(sys, payload["q"]))
     x = decode_point(sys, payload["x"])
-    pairs = tuple((x, payload["X"]) for _ in range(payload["depth"]))
-    w = BarycenterWitness(pairs, decode_scalar(payload["epsilon"]), p, q,
-                          payload["N"])
+    eps = decode_scalar(payload["epsilon"])
+    depth = payload["depth"]
+    pairs = tuple((x, payload["X"]) for _ in range(depth))
+    w = BarycenterWitness(pairs, eps, p, q, payload["N"])
     z, X = extract_heteroclinic(sys, w)
     if X != payload["X"] or encode_point(sys, z) != payload["z"]:
         return False
-    bound = decode_scalar(payload["bound"])
-    return sys.distance(z, decode_point(sys, payload["zHet"])) <= bound
+    bound = _heteroclinic_bound(sys, eps, depth)
+    if encode_scalar(bound) != payload["bound"]:
+        return False
+    distance = sys.distance(z, decode_point(sys, payload["zHet"]))
+    return encode_scalar(distance) == payload["distance"] and distance <= bound
 
 
 def _replay_periodic(sys, payload: dict) -> bool:

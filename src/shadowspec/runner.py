@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .barycenter import (
+    _heteroclinic_bound,
     as_periodic,
     barycenter_point,
     cut_witness,
@@ -311,19 +312,11 @@ def _run_barycenter(sys, check: dict, ctx: _Ctx):
     return records
 
 
-def _contraction_rate(sys):
-    if isinstance(sys, ToralAutomorphism):
-        lam = sys.hyperbolic_splitting().lam_s
-        return lam if lam.sign() > 0 else -lam
-    return Fraction(1, 2)
-
-
 def _run_heteroclinic(sys, check: dict, ctx: _Ctx):
     records = []
     n_1 = check.get("n1", 50)
     n_2 = check.get("n2", 50)
     max_depth = check.get("maxDepth", 30)
-    rate = _contraction_rate(sys)
     for eps in _epsilon_list(check):
         try:
             p = as_periodic(sys, check["p"])
@@ -339,7 +332,7 @@ def _run_heteroclinic(sys, check: dict, ctx: _Ctx):
             continue
         for depth in range(1, max_depth + 1):
             seed_i = ctx.rng.getrandbits(32)
-            bound = 2 * eps * rate**depth
+            bound = _heteroclinic_bound(sys, eps, depth)
             try:
                 witness = cut_witness(result, depth)
                 z, X = extract_heteroclinic(sys, witness)

@@ -34,7 +34,8 @@ from .systems import (
     _pair_mul,
     _sq_dist_to_int,
 )
-from .pseudo_orbits import PseudoOrbit, from_true_orbit, max_metric, perturb
+from .pseudo_orbits import (PseudoOrbit, from_true_orbit, max_metric,
+                           perturbed_orbit)
 
 
 def _expansion_constant(sys: ToralAutomorphism):
@@ -401,8 +402,7 @@ def _falsify_hyperbolic(sys, epsilon, horizon, rng, delta):
         den = 1 << 12
         base = sys.point(Fraction(rng.randrange(den), den),
                          Fraction(rng.randrange(den), den))
-    po = perturb(sys, from_true_orbit(sys, base, 0, length), delta,
-                 rng.getrandbits(32))
+    po = perturbed_orbit(sys, base, 0, length, delta, rng.getrandbits(32))
     result = shadow(sys, po, epsilon)
     return FalsificationResult("not-found", po, result.epsilon_used,
                                delta, None, result.tracer)

@@ -445,29 +445,14 @@ def _run_checks(sys, z, switch, period, segments, epsilon, lo, hi):
     return ok, checks, devs
 
 
-def verify_specification(sys, result: SpecificationResult, segments,
-                         schedule: TransitionSchedule):
-    """Recompute every inequality of the result from its raw pieces.
-
-    Returns (passed, checks) where checks is a tuple of (label, bool) in
-    evaluation order; the first False entry names the failure.
-    """
-    segments = [(x, int(n)) for x, n in segments]
-    lo = schedule.threshold(result.level - 1)
-    hi = schedule.threshold(result.level)
-    ok, checks, _ = _run_checks(sys, result.tracer, result.switch_times,
-                                result.period, segments, result.epsilon,
-                                lo, hi)
-    return ok, tuple(checks)
-
-
 def check_specification(sys, tracer, switch_times, period, segments,
                         epsilon, lo, hi):
-    """Like verify_specification, but from stored gap bounds.
+    """Recompute every inequality of a specification point from its pieces.
 
-    Useful when the schedule itself is not at hand: the caller supplies the
-    bracket [lo, hi] the gaps were required to land in.  Returns (passed,
-    checks, devs) with devs the largest deviation on each segment.
+    The caller supplies the bracket [lo, hi] the gaps were required to land
+    in.  Returns (passed, checks, devs): checks is a tuple of (label, bool)
+    in evaluation order, whose first False entry names the failure, and devs
+    the largest deviation on each segment.
     """
     segments = [(x, int(n)) for x, n in segments]
     ok, checks, devs = _run_checks(sys, tracer, tuple(switch_times), period,

@@ -75,6 +75,25 @@ class TestPeriodicPoints:
         # fixed points + minimal 2, 3, 6 must add up to the full count
         assert by_min == {1: 1, 2: 4, 3: 15, 6: 300}
 
+    @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((3, 1), (2, 1)),
+                                        ((1, 1), (1, 0)), ((0, 1), (1, 3)),
+                                        ((-2, 1), (1, -1))])
+    def test_toral_points_match_full_lattice_scan(self, matrix):
+        # oracle: every m in [0, n)^2 gives B^-1 m mod 1, B = A^k - I
+        sys_ = ToralAutomorphism(matrix)
+        for k in range(1, 5):
+            M = ((1, 0), (0, 1))
+            for _ in range(k):
+                M = _mat_mul2(M, matrix)
+            b00, b01, b10, b11 = M[0][0] - 1, M[0][1], M[1][0], M[1][1] - 1
+            det = b00 * b11 - b01 * b10
+            scan = {(Fraction(b11 * mx - b01 * my, det) % 1,
+                     Fraction(b00 * my - b10 * mx, det) % 1)
+                    for mx in range(abs(det)) for my in range(abs(det))}
+            pts = periodic_points(sys_, k)
+            assert [hp.point for hp in pts] == \
+                [sys_.point(x, y) for x, y in sorted(scan)]
+
     def test_full_shift_period_two(self):
         sh = full_shift(2)
         pts = periodic_points(sh, 2)

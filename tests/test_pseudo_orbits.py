@@ -15,15 +15,16 @@ from shadowspec.pseudo_orbits import (
     concatenate,
     from_true_orbit,
     max_metric,
-    perturb,
     perturbed_orbit,
 )
-from shadowspec.scalars import SqrtVal
+from shadowspec.scalars import QuadraticNumber, SqrtVal
+from shadowspec.shadowing import delta_for_epsilon
 from shadowspec.systems import (
     CircleRotation,
     PermutationSystem,
     ShiftSpace,
     SymbolicPoint,
+    ToralAutomorphism,
     cat_map,
     full_shift,
     golden_mean_shift,
@@ -37,7 +38,6 @@ class TestPseudoOrbit:
         assert po.index_range == (-3, 5)
         assert len(po) == 9
         assert po.gap.is_zero()
-        assert po.gap_rational() == 0
 
     def test_point_indexing(self):
         rot = CircleRotation(Fraction(1, 4))
@@ -54,12 +54,6 @@ class TestPseudoOrbit:
         z = SymbolicPoint.periodic((0,))
         po = PseudoOrbit(sh, 0, (z, z.with_symbol(2, 1)))
         assert po.gap == Fraction(1, 4)
-
-    def test_is_valid(self):
-        rot = CircleRotation(Fraction(1, 3))
-        po = PseudoOrbit(rot, 0, (Fraction(0), Fraction(1, 3) + Fraction(1, 100)))
-        assert po.is_valid(Fraction(1, 100))
-        assert not po.is_valid(Fraction(1, 200))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -79,42 +73,61 @@ class TestMaxMetric:
 class TestPerturb:
     def test_toral_budget_respected(self):
         sys_ = cat_map()
-        base = from_true_orbit(sys_, sys_.point(Fraction(1, 5), Fraction(3, 5)), 0, 40)
+        x = sys_.point(Fraction(1, 5), Fraction(3, 5))
         for seed in (0, 1, 7):
-            po = perturb(sys_, base, Fraction(1, 1000), seed)
+            po = perturbed_orbit(sys_, x, 0, 40, Fraction(1, 1000), seed)
             assert po.gap <= Fraction(1, 1000)
             assert not po.gap.is_zero()
 
     def test_sft_budget_respected(self):
         gm = golden_mean_shift()
-        base = from_true_orbit(gm, gm.point_through((0, 1, 0, 0, 1), at=-2), 0, 30)
-        po = perturb(gm, base, Fraction(1, 16), 3)
+        x = gm.point_through((0, 1, 0, 0, 1), at=-2)
+        po = perturbed_orbit(gm, x, 0, 30, Fraction(1, 16), 3)
         assert po.gap <= Fraction(1, 16)
         for p in po.points:
             gm.validate_point(p)
 
     def test_rotation_and_permutation(self):
         rot = CircleRotation(Fraction(2, 7))
-        po = perturb(rot, from_true_orbit(rot, Fraction(0), 0, 20), Fraction(1, 50), 5)
+        po = perturbed_orbit(rot, Fraction(0), 0, 20, Fraction(1, 50), 5)
         assert po.gap <= Fraction(1, 50)
         perm = PermutationSystem([1, 2, 0])
-        quiet = perturb(perm, from_true_orbit(perm, 0, 0, 10), Fraction(1, 2), 5)
+        quiet = perturbed_orbit(perm, 0, 0, 10, Fraction(1, 2), 5)
         assert quiet.gap == 0  # below metric resolution nothing moves
 
     def test_same_seed_same_orbit(self):
         sys_ = cat_map()
-        base = from_true_orbit(sys_, sys_.point(Fraction(1, 5), Fraction(3, 5)), 0, 10)
-        a = perturb(sys_, base, Fraction(1, 100), 42)
-        b = perturb(sys_, base, Fraction(1, 100), 42)
+        x = sys_.point(Fraction(1, 5), Fraction(3, 5))
+        a = perturbed_orbit(sys_, x, 0, 10, Fraction(1, 100), 42)
+        b = perturbed_orbit(sys_, x, 0, 10, Fraction(1, 100), 42)
         assert a.points == b.points
-        c = perturb(sys_, base, Fraction(1, 100), 43)
+        c = perturbed_orbit(sys_, x, 0, 10, Fraction(1, 100), 43)
         assert a.points != c.points
 
-    def test_gap_already_too_large(self):
+    def test_negative_delta_raises_and_zero_gives_true_orbit(self):
         rot = CircleRotation(Fraction(1, 3))
-        po = PseudoOrbit(rot, 0, (Fraction(0), Fraction(1, 2)))
-        with pytest.raises(CalibrationError):
-            perturb(rot, po, Fraction(1, 100), 0)
+        cat = cat_map()
+        x = cat.point(Fraction(1, 5), Fraction(3, 5))
+        for sys_, start in ((rot, Fraction(1, 7)), (cat, x)):
+            with pytest.raises(CalibrationError):
+                perturbed_orbit(sys_, start, 0, 5, Fraction(-1, 100), 0)
+            po = perturbed_orbit(sys_, start, -2, 5, Fraction(0), 0)
+            assert po.points == from_true_orbit(sys_, start, -2, 5).points
+        with pytest.raises(ValueError):
+            perturbed_orbit(cat, x, 3, 2, Fraction(1, 100), 0)
+
+    @pytest.mark.parametrize("sys_,x", [
+        (golden_mean_shift(),
+         golden_mean_shift().point_through((0, 1, 0, 0, 1), at=-2)),
+        (CircleRotation(Fraction(2, 7)), Fraction(1, 3)),
+    ], ids=["shift", "rotation"])
+    def test_measures_no_distance(self, sys_, x, monkeypatch):
+        calls = []
+        real = type(sys_).distance
+        monkeypatch.setattr(type(sys_), "distance",
+                            lambda *args: calls.append(1) or real(*args))
+        perturbed_orbit(sys_, x, 0, 30, Fraction(1, 16), 3)
+        assert not calls
 
 
 def _perturb_sft_by_flips(sys, po, delta, rng):
@@ -218,22 +231,61 @@ class TestPerturbSftOracle:
         assert encode_point(sys_, q) == "0~-~0@-5"
 
 
+def _perturbed_by_field(sys, x, a, b, delta, seed):
+    """Oracle for the toral lane: jitter each true-orbit coordinate c to
+    c + j*h/2^16 in field arithmetic, with the lane's draws."""
+    rng = random.Random(seed)
+    norm = max(sum(abs(e) for e in row) for row in sys.matrix)
+    h = delta / (2 * (norm + 1))
+    return PseudoOrbit(sys, a, [
+        sys.point(*[c + Fraction(rng.randrange(-2**16, 2**16 + 1), 2**16) * h
+                    for c in p.coords])
+        for p in from_true_orbit(sys, x, a, b).points])
+
+
 class TestPerturbedOrbit:
+    MATRICES = [((2, 1), (1, 1)), ((1, 1), (1, 0)), ((3, 1), (2, 1)),
+                ((2, 1), (1, 0)), ((3, 1), (1, 0))]
+
     @pytest.mark.parametrize("a,b,seed", [(0, 40, 5), (-3, 17, 99), (2, 30, 1234)])
     def test_matches_two_step_construction(self, a, b, seed):
-        sys_ = cat_map()
-        x = sys_.point(Fraction(3, 7), Fraction(1, 2))
-        fast = perturbed_orbit(sys_, x, a, b, Fraction(1, 10**6), seed)
-        slow = perturb(sys_, from_true_orbit(sys_, x, a, b), Fraction(1, 10**6), seed)
-        assert fast.start == slow.start
-        assert fast.points == slow.points
+        for matrix in self.MATRICES:
+            sys_ = ToralAutomorphism(matrix)
+            D = sys_.D
+            starts = [sys_.point(Fraction(3, 7), Fraction(1, 2)),
+                      sys_.point(QuadraticNumber(D, 1, 1, 7),
+                                 QuadraticNumber(D, 2, -1, 9))]
+            deltas = [Fraction(1, 10**6), Fraction(1, 1000),
+                      delta_for_epsilon(sys_, Fraction(1, 10))]
+            for x in starts:
+                for delta in deltas:
+                    lane = perturbed_orbit(sys_, x, a, b, delta, seed)
+                    oracle = _perturbed_by_field(sys_, x, a, b, delta, seed)
+                    assert lane.start == oracle.start == a
+                    assert [encode_point(sys_, p) for p in lane.points] == \
+                        [encode_point(sys_, p) for p in oracle.points]
+                assert perturbed_orbit(sys_, x, a, b, 0, seed).points == \
+                    from_true_orbit(sys_, x, a, b).points
 
     def test_non_toral_falls_back(self):
+        # the other families perturb the true orbit with the seeded draws
         gm = golden_mean_shift()
         x = gm.point_through((0, 0, 1), at=0)
-        fast = perturbed_orbit(gm, x, 0, 12, Fraction(1, 8), 7)
-        slow = perturb(gm, from_true_orbit(gm, x, 0, 12), Fraction(1, 8), 7)
-        assert fast.points == slow.points
+        lane = perturbed_orbit(gm, x, -2, 12, Fraction(1, 8), 7)
+        base = from_true_orbit(gm, x, -2, 12)
+        oracle = _perturb_sft(gm, base, Fraction(1, 8), random.Random(7))
+        assert lane.points == oracle.points
+        rot = CircleRotation(Fraction(2, 7))
+        lane = perturbed_orbit(rot, Fraction(1, 3), 0, 20, Fraction(1, 50), 5)
+        rng = random.Random(5)
+        assert lane.points == tuple(
+            (y + Fraction(rng.randrange(-2**16, 2**16 + 1), 2**16)
+             * Fraction(1, 100)) % 1
+            for y in from_true_orbit(rot, Fraction(1, 3), 0, 20).points)
+        perm = PermutationSystem([1, 2, 0])
+        rng = random.Random(5)
+        assert perturbed_orbit(perm, 0, 0, 10, Fraction(2), 5).points == \
+            tuple(rng.randrange(3) for _ in range(11))
 
 
 @settings(max_examples=30, derandomize=True)

@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,6 @@ from shadowspec.pseudo_orbits import (
     PseudoOrbit,
     from_true_orbit,
     max_metric,
-    perturb,
     perturbed_orbit,
 )
 from shadowspec.reporting import (
@@ -278,7 +278,7 @@ def _toral_cases(name):
     tracer = shadow(sys, po, Fraction(1, 100)).tracer  # irrational
     true_orbit = from_true_orbit(sys, tracer, 0, 40)
     # jitter on an irrational orbit keeps irrational points
-    irr = perturb(sys, true_orbit, Fraction(1, 10**6), 3)
+    irr = perturbed_orbit(sys, tracer, 0, 40, Fraction(1, 10**6), 3)
     other = sys.point(tracer.coords[0] + Fraction(1, 10**5), tracer.coords[1])
     return sys, {
         "perturbed": (po.points, tracer),
@@ -426,6 +426,24 @@ def test_barycenter_replay_checks_period_divisibility():
     assert pl["N1"] % 2 == 0
     odd = pl["N1"] + 1
     assert _rejected(_forge(rec, X=2 * odd, N=2 * odd, N1=odd))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", ["c6_shift", "c6_cat_mixed"])
+def test_heteroclinic_replay_rederives_bound_and_distance(name):
+    # the first record of the shipped config; depth 1 needs no deeper ones
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    rec = run_check(parse_config(
+        text.replace("check.maxDepth = 30", "check.maxDepth = 1")))[0]
+    pl = rec.witness_payload
+    assert rec.outcome == "pass" and pl["depth"] == 1
+    assert replay_verify_record(rec)
+    assert _rejected(_forge(rec, distance="5"))
+    assert _rejected(_forge(rec, bound="7"))
+    assert _rejected(_forge(rec, depth=2))
+    assert _rejected(_forge(rec, epsilon="3"))
 
 
 SPEC_CFG = (

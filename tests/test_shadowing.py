@@ -11,7 +11,6 @@ from shadowspec.pseudo_orbits import (
     PseudoOrbit,
     from_true_orbit,
     max_metric,
-    perturb,
     perturbed_orbit,
 )
 from shadowspec.scalars import QuadraticNumber
@@ -69,9 +68,8 @@ class TestShadowSft:
     def test_perturbed_orbit_traced(self):
         gm = golden_mean_shift()
         x = gm.point_through((0, 0, 1, 0, 1), at=-2)
-        base = from_true_orbit(gm, x, 0, 40)
         for seed in range(5):
-            po = perturb(gm, base, Fraction(1, 16), seed)
+            po = perturbed_orbit(gm, x, 0, 40, Fraction(1, 16), seed)
             res = shadow_sft(gm, po, Fraction(1, 8))
             gm.validate_point(res.tracer)
             assert res.max_deviation < Fraction(1, 8)

@@ -17,10 +17,10 @@ from shadowspec.errors import (
 from shadowspec.shadowing import delta_for_epsilon
 from shadowspec.specification import (
     _cell_lane,
+    check_specification,
     find_connector,
     specification_point,
     transition_times,
-    verify_specification,
 )
 from shadowspec.systems import (
     ShiftSpace,
@@ -182,18 +182,24 @@ def test_specification_verifies_and_detects_tampering():
     segs = [(fs.point_through((0, 1, 1, 0, 1)), 5),
             (fs.point_through((1, 0, 0, 0, 1)), 3)]
     res = specification_point(fs, segs, eps, level=2, schedule=sched)
-    ok, checks = verify_specification(fs, res, segs, sched)
+    lo, hi = sched.threshold(1), sched.threshold(2)
+
+    def verify(r):
+        return check_specification(fs, r.tracer, r.switch_times, r.period,
+                                   segs, r.epsilon, lo, hi)[:2]
+
+    ok, checks = verify(res)
     assert ok and all(good for _, good in checks)
     # gap tampering trips an interval check
     bad = replace(res, switch_times=(0, res.switch_times[1]
                                      + sched.thresholds[2] + 1))
-    ok2, checks2 = verify_specification(fs, bad, segs, sched)
+    ok2, checks2 = verify(bad)
     assert not ok2
     first = next(lbl for lbl, good in checks2 if not good)
     assert first.startswith("gap")
     # tracer tampering trips a deviation check
     bad2 = replace(res, tracer=fs.apply(res.tracer))
-    ok3, checks3 = verify_specification(fs, bad2, segs, sched)
+    ok3, checks3 = verify(bad2)
     assert not ok3
     first3 = next(lbl for lbl, good in checks3 if not good)
     assert first3.startswith("dev")
@@ -210,7 +216,9 @@ def test_specification_cat_map_end_to_end():
     target = min(delta_for_epsilon(cm, half), half)
     cover = build_cover(cm, target)
     sched = transition_times(cm, cover, n_max=1)
-    ok, checks = verify_specification(cm, res, segs, sched)
+    ok, checks, _ = check_specification(
+        cm, res.tracer, res.switch_times, res.period, segs, eps,
+        sched.threshold(0), sched.threshold(1))
     assert ok
     # every gap equals the uniform level value
     gaps = [lbl for lbl, _ in checks if lbl.startswith("gap")]
