@@ -26,6 +26,7 @@ from .errors import (
     NotRelatedError,
     UnsupportedSystemError,
 )
+from .pseudo_orbits import deviations, max_deviation, orbit
 from .scalars import SqrtVal
 from .systems import ShiftSpace, SymbolicPoint, ToralAutomorphism, _primitive
 
@@ -40,13 +41,6 @@ class HyperbolicPeriodicPoint:
 
     point: object
     period: int
-
-
-def _orbit(sys, point, period):
-    pts = [point]
-    for _ in range(period - 1):
-        pts.append(sys.apply(pts[-1]))
-    return pts
 
 
 def periodic_points(sys, k: int, bound: int = PERIOD_BOUND):
@@ -121,8 +115,8 @@ def _heteroclinic_toral(sys, p: HyperbolicPeriodicPoint,
     sp = sys.hyperbolic_splitting()
     su, ss = sp.v_u[1], sp.v_s[1]
     dv = su - ss
-    exclude = [pt for pt in _orbit(sys, p.point, p.period)
-               if pt in _orbit(sys, q.point, q.period)]
+    exclude = [pt for pt in orbit(sys, p.point, p.period - 1)
+               if pt in orbit(sys, q.point, q.period - 1)]
     px, py = p.point.coords
     qx, qy = q.point.coords
     for mx, my in _shells(_SHELL_HORIZON):
@@ -147,8 +141,8 @@ def _heteroclinic_sft(sys, p: HyperbolicPeriodicPoint,
     """
     pp, qq = p.point, q.point
     a = pp.symbol(-1)
-    exclude = [pt for pt in _orbit(sys, pp, p.period)
-               if pt in _orbit(sys, qq, q.period)]
+    exclude = [pt for pt in orbit(sys, pp, p.period - 1)
+               if pt in orbit(sys, qq, q.period - 1)]
     left = pp.window(0, p.period - 1)
     reachable_any = False
     for L in range(_BRIDGE_HORIZON + 1):
@@ -250,16 +244,8 @@ def _violation_threshold(sys, z, anchor, eps, backward: bool, tail_data):
         else:
             raise InternalInvariantError("contraction never beats epsilon")
     sign = -1 if backward else 1
-    last_violation = -1
-    cur = z
-    anc = anchor
-    for n in range(window + 1):
-        if not sys.distance(cur, anc) < eps:
-            last_violation = n
-        if n < window:
-            cur = sys.apply(cur, sign)
-            anc = sys.apply(anc, sign)
-    return last_violation + 1
+    devs = deviations(sys, z, orbit(sys, anchor, window, sign), sign)
+    return 1 + max((n for n, d in enumerate(devs) if not d < eps), default=-1)
 
 
 def barycenter_point(sys, p: HyperbolicPeriodicPoint,
@@ -302,24 +288,15 @@ def barycenter_point(sys, p: HyperbolicPeriodicPoint,
 def verify_barycenter(sys, x, X: int, p: HyperbolicPeriodicPoint,
                       q: HyperbolicPeriodicPoint, epsilon,
                       n_1: int, n_2: int) -> bool:
-    """Re-walk the two tracking inequality ranges of a barycenter result."""
-    cur = sys.apply(x, -n_1)
-    anc = sys.apply(p.point, -n_1)
-    for i in range(-n_1, 1):
-        if not sys.distance(cur, anc) < epsilon:
-            return False
-        if i < 0:
-            cur = sys.apply(cur)
-            anc = sys.apply(anc)
-    cur = sys.apply(x, X)
-    anc = q.point
-    for i in range(0, n_2 + 1):
-        if not sys.distance(cur, anc) < epsilon:
-            return False
-        if i < n_2:
-            cur = sys.apply(cur)
-            anc = sys.apply(anc)
-    return True
+    """Re-check the two tracking inequality ranges of a barycenter result.
+
+    d(f^i(x), f^i(p)) < epsilon for -n_1 <= i <= 0, and
+    d(f^(X+i)(x), f^i(q)) < epsilon for 0 <= i <= n_2.
+    """
+    back = orbit(sys, sys.apply(p.point, -n_1), n_1)
+    fwd = orbit(sys, q.point, n_2)
+    return (max_deviation(sys, sys.apply(x, -n_1), back) < epsilon
+            and max_deviation(sys, sys.apply(x, X), fwd) < epsilon)
 
 
 def cut_witness(result: BarycenterResult, depth: int) -> BarycenterWitness:
@@ -363,18 +340,10 @@ def extract_heteroclinic(sys, w: BarycenterWitness):
     m = max(i + 1 for i, (_, xm) in enumerate(w.pairs) if xm == X)
     z = w.pairs[m - 1][0]
 
-    cur, anc = z, w.p.point
-    for j in range(m + 1):
-        if not sys.distance(cur, anc) <= w.epsilon:
-            raise CalibrationError(
-                f"witness {m} violates the backward inequality at -{j}")
-        cur = sys.apply(cur, -1)
-        anc = sys.apply(anc, -1)
-    cur, anc = sys.apply(z, X), w.q.point
-    for j in range(m + 1):
-        if not sys.distance(cur, anc) <= w.epsilon:
-            raise CalibrationError(
-                f"witness {m} violates the forward inequality at {j}")
-        cur = sys.apply(cur)
-        anc = sys.apply(anc)
+    back = orbit(sys, sys.apply(w.p.point, -m), m)
+    if not max_deviation(sys, sys.apply(z, -m), back) <= w.epsilon:
+        raise CalibrationError(f"witness {m} violates the backward inequality")
+    fwd = orbit(sys, w.q.point, m)
+    if not max_deviation(sys, sys.apply(z, X), fwd) <= w.epsilon:
+        raise CalibrationError(f"witness {m} violates the forward inequality")
     return z, X

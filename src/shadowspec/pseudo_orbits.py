@@ -1,11 +1,14 @@
-"""Finite pseudo-orbits: true orbits, seeded perturbations, concatenation.
+"""Finite pseudo-orbits: true orbits, perturbation, gluing, orbit deviations.
 
 A pseudo-orbit is a finite indexed sequence y_a..y_b whose jump errors
 d(f(y_n), y_{n+1}) stay below some delta.  ``perturbed_orbit`` is the one
 perturbation entry point: it jitters a true orbit within delta, one lane per
 system family, and never measures a gap; the code that uses a pseudo-orbit
-checks its gap.  Everything here is exact: the gap is an exact scalar and
-recomputing it reproduces the cached value bit for bit.
+checks its gap.  Every tracking inequality d(f^n x, y_n) < epsilon in the
+package (shadowing, specification, barycenter, heteroclinic extraction and
+their replay) goes through ``orbit``, ``deviations`` and ``max_deviation``.
+Everything here is exact: the gap is an exact scalar and recomputing it
+reproduces the cached value bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +43,34 @@ _FLIP_SPAN = 8
 def max_metric(values, zero=Fraction(0)):
     """Maximum of metric values, or ``zero`` when there are none."""
     return max(values, default=zero)
+
+
+def orbit(sys, x, n: int, step: int = 1) -> list:
+    """The points x, f^step(x), ..., f^(n*step)(x)."""
+    pts = [x]
+    for _ in range(n):
+        pts.append(sys.apply(pts[-1], step))
+    return pts
+
+
+def deviations(sys, x, points, step: int = 1):
+    """d(f^(n*step)(x), y_n) for each point y_n in turn."""
+    cur = x
+    for n, y in enumerate(points):
+        if n:
+            cur = sys.apply(cur, step)
+        yield sys.distance(cur, y)
+
+
+def max_deviation(sys, x, points):
+    """The exact max_n d(f^n(x), y_n) over a nonempty list of points.
+
+    Tori take the integer lane, ``ToralAutomorphism.max_orbit_deviation``,
+    and every other system the maximum of ``deviations``; both are exact.
+    """
+    if isinstance(sys, ToralAutomorphism):
+        return sys.max_orbit_deviation(x, points)
+    return max(deviations(sys, x, points))
 
 
 @dataclass
@@ -98,10 +129,7 @@ def from_true_orbit(sys, x, a: int, b: int) -> PseudoOrbit:
     """The genuine orbit segment f^a(x)..f^b(x); its gap is 0."""
     if a > b:
         raise ValueError(f"empty index range [{a}, {b}]")
-    pts = [sys.apply(x, a)]
-    for _ in range(a, b):
-        pts.append(sys.apply(pts[-1]))
-    return PseudoOrbit(sys, a, pts)
+    return PseudoOrbit(sys, a, orbit(sys, sys.apply(x, a), b - a))
 
 
 def _jitter(rng: random.Random, h: Fraction) -> Fraction:
@@ -264,13 +292,7 @@ def concatenate(sys, segments: Sequence[tuple], connectors: Sequence[tuple]):
             raise ValueError("segment lengths must be nonnegative")
         if X < 1:
             raise ValueError("connector times must be at least 1")
-        cur = x
-        for _ in range(n):
-            pts.append(cur)
-            cur = sys.apply(cur)
-        cur = y
-        for _ in range(X):
-            pts.append(cur)
-            cur = sys.apply(cur)
+        pts += orbit(sys, x, n - 1)[:n]
+        pts += orbit(sys, y, X - 1)
         c.append(c[-1] + n + X)
     return PseudoOrbit(sys, 0, pts), c

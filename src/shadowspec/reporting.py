@@ -22,7 +22,7 @@ from .barycenter import (BarycenterWitness, _heteroclinic_bound, as_periodic,
                          extract_heteroclinic, verify_barycenter)
 from .codecs import decode_point, decode_scalar, encode_point, encode_scalar
 from .errors import SchemaMismatchError, ShadowspecError
-from .pseudo_orbits import PseudoOrbit, max_metric, perturbed_orbit
+from .pseudo_orbits import PseudoOrbit, max_deviation, perturbed_orbit
 from .scalars import parse_exact
 from .specification import check_specification
 from .systems import (
@@ -205,30 +205,6 @@ def _rebuild_pseudo_orbit(sys, spec: dict) -> PseudoOrbit:
     raise SchemaMismatchError(f"unknown pseudo-orbit form {kind!r}")
 
 
-def _tracer_deviations(sys, po: PseudoOrbit, tracer, start: int):
-    """d(f^(n - start)(tracer), y_n) for every index n of ``po``.
-
-    The generic walk through ``apply`` and ``distance``; tori take the
-    integer lane in ``_max_tracer_deviation`` instead.
-    """
-    a, b = po.index_range
-    cur = sys.apply(tracer, a - start)
-    devs = []
-    for n in range(a, b + 1):
-        devs.append(sys.distance(cur, po.point(n)))
-        if n < b:
-            cur = sys.apply(cur)
-    return devs
-
-
-def _max_tracer_deviation(sys, po: PseudoOrbit, tracer, start: int):
-    """The exact maximum of ``_tracer_deviations``."""
-    if isinstance(sys, ToralAutomorphism):
-        x = sys.apply(tracer, po.index_range[0] - start)
-        return sys.max_orbit_deviation(x, po.points)
-    return max_metric(_tracer_deviations(sys, po, tracer, start))
-
-
 def _replay_shadowing(sys, payload: dict) -> bool:
     po = _rebuild_pseudo_orbit(sys, payload["pseudoOrbit"])
     eps = decode_scalar(payload["epsilon"])
@@ -236,7 +212,8 @@ def _replay_shadowing(sys, payload: dict) -> bool:
     if not po.gap <= delta:
         return False
     tracer = decode_point(sys, payload["tracer"])
-    mx = _max_tracer_deviation(sys, po, tracer, payload["start"])
+    mx = max_deviation(sys, sys.apply(tracer, po.start - payload["start"]),
+                       po.points)
     if not mx < eps:
         return False
     return encode_scalar(mx) == payload["maxDeviation"]
@@ -318,12 +295,10 @@ def _replay_periodic(sys, payload: dict) -> bool:
 
 def _replay_falsify(sys, payload: dict) -> bool:
     eps = decode_scalar(payload["epsilon"])
+    delta = decode_scalar(payload["delta"])
     po = _rebuild_pseudo_orbit(sys, payload["pseudoOrbit"])
-    if payload["status"] == "not-found":
-        if "tracer" not in payload:
-            return True
-        tracer = decode_point(sys, payload["tracer"])
-        return _max_tracer_deviation(sys, po, tracer, po.index_range[0]) < eps
+    if payload["status"] != "certified" or not po.gap <= delta:
+        return False
     cert = payload["certificate"]
     if "gridSize" in cert:
         grid = cert["gridSize"]
@@ -334,25 +309,14 @@ def _replay_falsify(sys, payload: dict) -> bool:
         if len(stored) != grid or grid < 1 or \
                 not threshold >= eps + Fraction(1, 2 * grid):
             return False
-        for g in range(grid):
-            x = Fraction(g, grid)
-            dev = max(sys.distance(sys.apply(x, n), y)
-                      for n, y in enumerate(po.points))
-            if not (dev == stored[g] and dev >= threshold):
-                return False
-        return True
+        devs = [max_deviation(sys, Fraction(g, grid), po.points)
+                for g in range(grid)]
+        return devs == stored and min(devs) >= threshold
     if cert.get("exhaustive"):
         if cert["candidates"] != sys.size:
             return False
-        best = None
-        for x in range(sys.size):
-            dev = max_metric(sys.distance(sys.apply(x, n), y)
-                             for n, y in enumerate(po.points))
-            if not dev >= eps:
-                return False
-            if best is None or dev < best:
-                best = dev
-        return encode_scalar(best) == cert["minMaxDeviation"]
+        best = min(max_deviation(sys, x, po.points) for x in range(sys.size))
+        return best >= eps and encode_scalar(best) == cert["minMaxDeviation"]
     return False
 
 

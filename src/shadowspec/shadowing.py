@@ -34,8 +34,8 @@ from .systems import (
     _pair_mul,
     _sq_dist_to_int,
 )
-from .pseudo_orbits import (PseudoOrbit, from_true_orbit, max_metric,
-                           perturbed_orbit)
+from .pseudo_orbits import (PseudoOrbit, deviations, from_true_orbit,
+                           max_deviation, max_metric, perturbed_orbit)
 
 
 def _expansion_constant(sys: ToralAutomorphism):
@@ -124,7 +124,7 @@ def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
     if not po.gap <= delta:
         raise CalibrationError(
             f"pseudo-orbit gap {po.gap} exceeds the calibrated delta {delta}")
-    a, b = po.index_range
+    a = po.start
     ya, yb = po.points[0], po.points[-1]
     sa, _ = ya.core_span()
     _, eb = yb.core_span()
@@ -139,8 +139,7 @@ def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
         sys.validate_point(tracer)
     except Exception as exc:
         raise InternalInvariantError(f"splice tracer inadmissible: {exc}")
-    devs = tuple(sys.distance(sys.apply(tracer, m), po.points[m - a])
-                 for m in range(a, b + 1))
+    devs = tuple(deviations(sys, sys.apply(tracer, a), po.points))
     mx = max_metric(devs)
     if not mx < epsilon:
         raise InternalInvariantError(
@@ -342,15 +341,7 @@ def _falsify_rotation(sys: CircleRotation, epsilon, horizon, rng, delta):
     # orbit deviates by at least 9*eps/8 somewhere, no point stays below eps.
     grid = max(-((-4 * eps.denominator) // eps.numerator), 1)  # ceil(4/eps)
     threshold = eps * Fraction(9, 8)
-    maxdevs = []
-    for g in range(grid):
-        x = Fraction(g, grid)
-        dev = Fraction(0)
-        for n, y in enumerate(pts):
-            d = sys.distance(sys.apply(x, n), y)
-            if d > dev:
-                dev = d
-        maxdevs.append(dev)
+    maxdevs = [max_deviation(sys, Fraction(g, grid), pts) for g in range(grid)]
     if min(maxdevs) >= threshold:
         cert = {"gridSize": grid, "threshold": threshold,
                 "gridMaxDeviations": tuple(maxdevs)}
@@ -369,8 +360,7 @@ def _falsify_permutation(sys: PermutationSystem, epsilon, horizon, rng, delta):
                          [rng.randrange(sys.size) for _ in range(length + 1)])
     best = None
     for x in range(sys.size):
-        dev = max_metric(sys.distance(sys.apply(x, n), y)
-                         for n, y in enumerate(po.points))
+        dev = max_deviation(sys, x, po.points)
         if dev < eps:
             return FalsificationResult("not-found", po, eps, delta, None, x)
         if best is None or dev < best:

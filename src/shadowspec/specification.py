@@ -25,7 +25,7 @@ from .errors import (
     NoWitnessError,
     UnsupportedSystemError,
 )
-from .pseudo_orbits import concatenate
+from .pseudo_orbits import concatenate, deviations, orbit
 from .scalars import QuadraticNumber, _floor_quad
 from .shadowing import delta_for_epsilon, shadow
 from .systems import ShiftSpace, ToralAutomorphism
@@ -422,25 +422,11 @@ def _run_checks(sys, z, switch, period, segments, epsilon, lo, hi):
         c_next = switch[j + 1] if j + 1 < k else period
         gap = c_next - switch[j] - segments[j][1]
         checks.append((f"gap[{j}] in [{lo}, {hi}]", lo <= gap <= hi))
-    cur = z
-    t = 0
-    for j in range(k):
-        x, n = segments[j]
-        while t < switch[j]:
-            cur = sys.apply(cur)
-            t += 1
-        seg = x
-        worst = None
-        for i in range(n + 1):
-            d = sys.distance(cur, seg)
-            checks.append((f"dev[{j}][{i}] < epsilon", d < epsilon))
-            if worst is None or d > worst:
-                worst = d
-            if i < n:
-                cur = sys.apply(cur)
-                seg = sys.apply(seg)
-                t += 1
-        devs.append(worst)
+    for j, (x, n) in enumerate(segments):
+        ds = list(deviations(sys, sys.apply(z, switch[j]), orbit(sys, x, n)))
+        checks += [(f"dev[{j}][{i}] < epsilon", d < epsilon)
+                   for i, d in enumerate(ds)]
+        devs.append(max(ds))
     ok = all(good for _, good in checks)
     return ok, checks, devs
 

@@ -3,10 +3,11 @@
 Each system exposes the same minimal surface: ``apply(x, k)`` iterates the
 map (negative k uses the inverse), ``distance(x, y)`` evaluates the metric
 exactly, and ``validate_point(x)`` rejects points that do not belong to the
-space.  Everything downstream (pseudo-orbits, shadowing, the specification
-construction) is written against this surface only, except that tori also
-offer ``max_jump`` and ``max_orbit_deviation``: the same maxima of
-``distance`` over ``apply``, on integers, for pseudo-orbit gaps and replay.
+space.  Everything downstream is written against this surface only, and
+compares an orbit with a reference sequence through ``pseudo_orbits.orbit``,
+``deviations`` and ``max_deviation``.  Tori also offer ``max_jump`` and
+``max_orbit_deviation``: the same maxima of ``distance`` over ``apply``, on
+integers, behind ``PseudoOrbit.recompute_gap`` and ``max_deviation``.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from shadowspec.barycenter import (
     extract_heteroclinic,
     heteroclinic_point,
     periodic_points,
+    verify_barycenter,
 )
 from shadowspec.errors import (
     BudgetExceededError,
@@ -233,6 +234,48 @@ class TestBarycenter:
             assert b < a
 
 
+def _ranges_hold(sys_, x, X, p, q, eps, n_1, n_2):
+    """(backward, forward) tracking ranges of a barycenter result, each
+    checked point by point through ``apply`` and ``distance``."""
+    back = all(sys_.distance(sys_.apply(x, i), sys_.apply(p.point, i)) < eps
+               for i in range(-n_1, 1))
+    fwd = all(sys_.distance(sys_.apply(x, X + i), sys_.apply(q.point, i)) < eps
+              for i in range(n_2 + 1))
+    return back, fwd
+
+
+class TestVerifyBarycenter:
+    """Each tracking range of ``verify_barycenter`` can fail on its own."""
+
+    def _check(self, sys_, res, cases):
+        eps = res.epsilon
+        for (X, p, q), expected in cases:
+            assert _ranges_hold(sys_, res.x, X, p, q, eps, 50, 50) == expected
+            assert verify_barycenter(sys_, res.x, X, p, q, eps, 50, 50) == \
+                all(expected), (X, expected)
+
+    def test_cat_map_mixed_pair(self):
+        # the c5_cat_mixed pair: the fixed point and the period-2 (1/5, 2/5)
+        sys_ = cat_map()
+        p = as_periodic(sys_, sys_.point(0, 0))
+        q = as_periodic(sys_, sys_.point(Fraction(1, 5), Fraction(2, 5)))
+        res = barycenter_point(sys_, p, q, Fraction(1, 10), 50, 50)
+        self._check(sys_, res, [((res.X, p, q), (True, True)),
+                                ((res.X + 1, p, q), (True, False)),
+                                ((res.X, q, q), (False, True))])
+
+    def test_two_shift_fixed_points(self):
+        sh = full_shift(2)
+        p = as_periodic(sh, SymbolicPoint.periodic((0,)))
+        q = as_periodic(sh, SymbolicPoint.periodic((1,)))
+        res = barycenter_point(sh, p, q, Fraction(1, 8), 50, 50)
+        self._check(sh, res, [((res.X, p, q), (True, True)),
+                              ((res.X - 1, p, q), (True, True)),
+                              ((res.X + 1, p, q), (True, True)),
+                              ((res.X, q, q), (False, True)),
+                              ((res.X, p, p), (True, False))])
+
+
 class TestWitness:
     def _two_shift_setup(self):
         sh = full_shift(2)
@@ -276,7 +319,15 @@ class TestWitness:
     def test_certificate_failure(self):
         sh, p, q = self._two_shift_setup()
         w = BarycenterWitness(((q.point, 0),), Fraction(1, 4), p, p, 4)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match="backward inequality"):
+            extract_heteroclinic(sh, w)
+
+    def test_certificate_failure_forward(self):
+        # x tracks p backward, but f^X(x) sits near q, not near p
+        sh, p, q = self._two_shift_setup()
+        res = barycenter_point(sh, p, q, Fraction(1, 8), 50, 50)
+        w = BarycenterWitness(((res.x, res.X),), res.epsilon, p, p, res.N)
+        with pytest.raises(CalibrationError, match="forward inequality"):
             extract_heteroclinic(sh, w)
 
     def test_empty_and_range_validation(self):

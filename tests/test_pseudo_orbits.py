@@ -1,4 +1,5 @@
-"""Pseudo-orbits: gaps, seeded perturbation, fast orbit generation, gluing."""
+"""Pseudo-orbits: gaps, seeded perturbation, fast orbit generation, gluing,
+and orbit deviations."""
 
 import random
 from fractions import Fraction
@@ -6,15 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowspec.codecs import encode_point
+from shadowspec.codecs import encode_point, encode_scalar
 from shadowspec.errors import CalibrationError
 from shadowspec.pseudo_orbits import (
     _FLIP_SPAN,
     PseudoOrbit,
     _perturb_sft,
     concatenate,
+    deviations,
     from_true_orbit,
+    max_deviation,
     max_metric,
+    orbit,
     perturbed_orbit,
 )
 from shadowspec.scalars import QuadraticNumber, SqrtVal
@@ -329,3 +333,63 @@ class TestConcatenate:
             concatenate(sys_, [(x, -1)], [(x, 1)])
         with pytest.raises(ValueError):
             concatenate(sys_, [(x, 1)], [(x, 0)])
+
+
+def _deviation_case(name):
+    """(system, x, points y_0..y_12) with y_n near f^n(x); the last point
+    lies farthest off, so it alone decides the maximum."""
+    if name == "shift":
+        sys_ = full_shift(2)
+        x = sys_.point_through((0, 1, 1, 0, 1), at=-2)
+        pts = list(perturbed_orbit(sys_, x, 0, 11, Fraction(1, 8), 3).points)
+        last = sys_.apply(x, 12)
+        pts.append(last.with_symbol(0, 1 - last.symbol(0)))
+    elif name.startswith("cat"):
+        sys_ = cat_map()
+        if name == "cat-rational":
+            x = sys_.point(Fraction(3, 17), Fraction(5, 11))
+        else:
+            x = sys_.point(QuadraticNumber(5, 1, 1, 7),
+                           QuadraticNumber(5, 2, -1, 9))
+        pts = list(perturbed_orbit(sys_, x, 0, 11, Fraction(1, 100), 3).points)
+        fx, fy = sys_.apply(x, 12).coords
+        pts.append(sys_.point(fx + Fraction(1, 3), fy + Fraction(1, 3)))
+    elif name == "rotation":
+        sys_ = CircleRotation(Fraction(2, 7))
+        x = Fraction(1, 3)
+        pts = list(perturbed_orbit(sys_, x, 0, 11, Fraction(1, 50), 3).points)
+        pts.append(sys_.point(sys_.apply(x, 12) + Fraction(1, 3)))
+    else:
+        sys_ = PermutationSystem([1, 2, 0, 4, 3])
+        x = 3
+        pts = list(from_true_orbit(sys_, x, 0, 11).points)
+        pts.append(sys_.apply(x, 13))
+    return sys_, x, pts
+
+
+DEVIATION_CASES = ["shift", "cat-rational", "cat-irrational", "rotation",
+                   "permutation"]
+
+
+@pytest.mark.parametrize("name", DEVIATION_CASES)
+def test_deviations_match_direct_oracle(name):
+    sys_, x, pts = _deviation_case(name)
+    oracle = [sys_.distance(sys_.apply(x, n), y) for n, y in enumerate(pts)]
+    assert max(oracle) > max(oracle[:-1])
+    assert orbit(sys_, x, 12) == [sys_.apply(x, n) for n in range(13)]
+    assert list(deviations(sys_, x, pts)) == oracle
+    assert encode_scalar(max_deviation(sys_, x, pts)) == \
+        encode_scalar(max(oracle))
+    back = [sys_.apply(x, -n) for n in range(13)]
+    assert orbit(sys_, x, 12, step=-1) == back
+    assert list(deviations(sys_, x, pts, step=-1)) == \
+        [sys_.distance(b, y) for b, y in zip(back, pts)]
+
+
+@pytest.mark.parametrize("name", DEVIATION_CASES)
+def test_max_deviation_of_one_point(name):
+    sys_, x, pts = _deviation_case(name)
+    assert orbit(sys_, x, 0) == [x]
+    for y in (x, pts[-1]):
+        assert encode_scalar(max_deviation(sys_, x, [y])) == \
+            encode_scalar(sys_.distance(x, y))

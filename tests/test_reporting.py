@@ -18,15 +18,14 @@ from shadowspec.errors import SchemaMismatchError
 from shadowspec.pseudo_orbits import (
     PseudoOrbit,
     from_true_orbit,
+    max_deviation,
     max_metric,
     perturbed_orbit,
 )
 from shadowspec.reporting import (
     SCHEMA_VERSION,
     ReportRecord,
-    _max_tracer_deviation,
     _rebuild_pseudo_orbit,
-    _tracer_deviations,
     expected_periodic_count,
     jsonl_to_records,
     plot_csv,
@@ -266,8 +265,25 @@ def _generic_gap(sys, points):
                       for y, z in zip(points, points[1:]))
 
 
+def _tracer_deviations(sys, po, tracer, start):
+    """d(f^(n - start)(tracer), y_n) for every index n of ``po``, walked
+    through ``apply`` and ``distance``: the oracle for the integer lane."""
+    a, b = po.index_range
+    cur = sys.apply(tracer, a - start)
+    devs = []
+    for n in range(a, b + 1):
+        devs.append(sys.distance(cur, po.point(n)))
+        if n < b:
+            cur = sys.apply(cur)
+    return devs
+
+
 def _generic_max_deviation(sys, po, tracer, start):
     return max_metric(_tracer_deviations(sys, po, tracer, start))
+
+
+def _lane_max_deviation(sys, po, tracer, start):
+    return max_deviation(sys, sys.apply(tracer, po.start - start), po.points)
 
 
 def _toral_cases(name):
@@ -296,7 +312,7 @@ def test_integer_lane_matches_generic_walk(name):
             encode_scalar(_generic_gap(sys, points)), label
         for a, start in itertools.product((0, -3, 4), repeat=2):
             po = PseudoOrbit(sys, a, points)
-            lane = _max_tracer_deviation(sys, po, tracer, start)
+            lane = _lane_max_deviation(sys, po, tracer, start)
             generic = _generic_max_deviation(sys, po, tracer, start)
             assert encode_scalar(lane) == encode_scalar(generic), (label, a, start)
 
@@ -314,7 +330,7 @@ def test_integer_lane_half_ties_and_one_point(name):
             encode_scalar(_generic_gap(sys, points))
         po = PseudoOrbit(sys, 0, points)
         for tracer in (origin, sys.point(half, half)):
-            assert encode_scalar(_max_tracer_deviation(sys, po, tracer, 0)) == \
+            assert encode_scalar(_lane_max_deviation(sys, po, tracer, 0)) == \
                 encode_scalar(_generic_max_deviation(sys, po, tracer, 0))
     lone = sys.point(Fraction(1, 3), Fraction(2, 5))
     assert sys.max_jump([lone]) == 0
@@ -322,7 +338,7 @@ def test_integer_lane_half_ties_and_one_point(name):
         encode_scalar(_generic_gap(sys, [lone]))
     po = PseudoOrbit(sys, 0, [lone])
     assert encode_scalar(po.gap) == "0"
-    assert encode_scalar(_max_tracer_deviation(sys, po, origin, 0)) == \
+    assert encode_scalar(_lane_max_deviation(sys, po, origin, 0)) == \
         encode_scalar(_generic_max_deviation(sys, po, origin, 0))
 
 
@@ -531,3 +547,50 @@ def test_falsify_replay_ties_threshold_to_epsilon():
     assert _rejected(_forge(rec, epsilon="1"))
     assert _rejected(_forge(rec, certificate={**pl["certificate"],
                                               "threshold": "0"}))
+
+
+PERMUTATION_FALSIFY_CFG = (
+    "system.kind = permutation\n"
+    "system.images = 1 2 0 4 3\n"
+    "check.kind = falsify-shadowing\n"
+    "check.epsilon = 1/2\n"
+    "check.delta = {delta}\n"
+    "check.seed = 5\n"
+)
+
+
+def test_falsify_replay_checks_status_and_delta():
+    (rot,) = run_check(parse_config(ROTATION_FALSIFY_CFG))
+    (perm,) = run_check(parse_config(PERMUTATION_FALSIFY_CFG.format(delta=2)))
+    assert replay_verify_record(rot) and replay_verify_record(perm)
+    forged = [
+        _forge(rot, delta="0"),
+        _forge(rot, status="not-found"),
+        _forge(rot, status="x"),
+        _forge(perm, delta="0"),
+        _forge(perm, delta="1/2"),
+        _forge(perm, status="not-found"),
+    ]
+    assert all(_rejected(f) for f in forged)
+
+
+def test_permutation_falsification_end_to_end():
+    # delta 2 lets every point jump anywhere: an exhaustive certificate
+    (rec,) = run_check(parse_config(PERMUTATION_FALSIFY_CFG.format(delta=2)))
+    pl = rec.witness_payload
+    cert = pl["certificate"]
+    assert rec.outcome == "pass" and pl["status"] == "certified"
+    assert cert == {"exhaustive": True, "candidates": 5, "minMaxDeviation": "1"}
+    assert replay_verify_record(rec)
+    assert _rejected(_forge(rec, certificate={**cert, "minMaxDeviation": "0"}))
+    assert _rejected(_forge(rec, certificate={**cert, "candidates": 4}))
+    # below the metric's resolution the pseudo-orbit is a true orbit, whose
+    # own starting point traces it
+    (quiet,) = run_check(parse_config(
+        PERMUTATION_FALSIFY_CFG.format(delta="1/4")))
+    pl = quiet.witness_payload
+    assert quiet.outcome == "fail" and pl["status"] == "not-found"
+    assert "certificate" not in pl
+    sys = PermutationSystem([1, 2, 0, 4, 3])
+    points = [decode_point(sys, t) for t in pl["pseudoOrbit"]["points"]]
+    assert max_deviation(sys, decode_point(sys, pl["tracer"]), points) == 0
