@@ -285,6 +285,12 @@ def barycenter_point(sys, p: HyperbolicPeriodicPoint,
     return BarycenterResult(x, X, X, epsilon, n_1, n_2, p, q)
 
 
+def _anchor(sys, p: HyperbolicPeriodicPoint, lo: int, n: int) -> list:
+    """f^lo(p), ..., f^(lo+n)(p), read off one period of p's orbit."""
+    cycle = orbit(sys, p.point, p.period - 1)
+    return [cycle[i % p.period] for i in range(lo, lo + n + 1)]
+
+
 def verify_barycenter(sys, x, X: int, p: HyperbolicPeriodicPoint,
                       q: HyperbolicPeriodicPoint, epsilon,
                       n_1: int, n_2: int) -> bool:
@@ -293,8 +299,8 @@ def verify_barycenter(sys, x, X: int, p: HyperbolicPeriodicPoint,
     d(f^i(x), f^i(p)) < epsilon for -n_1 <= i <= 0, and
     d(f^(X+i)(x), f^i(q)) < epsilon for 0 <= i <= n_2.
     """
-    back = orbit(sys, sys.apply(p.point, -n_1), n_1)
-    fwd = orbit(sys, q.point, n_2)
+    back = _anchor(sys, p, -n_1, n_1)
+    fwd = _anchor(sys, q, 0, n_2)
     return (max_deviation(sys, sys.apply(x, -n_1), back) < epsilon
             and max_deviation(sys, sys.apply(x, X), fwd) < epsilon)
 
@@ -340,10 +346,10 @@ def extract_heteroclinic(sys, w: BarycenterWitness):
     m = max(i + 1 for i, (_, xm) in enumerate(w.pairs) if xm == X)
     z = w.pairs[m - 1][0]
 
-    back = orbit(sys, sys.apply(w.p.point, -m), m)
+    back = _anchor(sys, w.p, -m, m)
     if not max_deviation(sys, sys.apply(z, -m), back) <= w.epsilon:
         raise CalibrationError(f"witness {m} violates the backward inequality")
-    fwd = orbit(sys, w.q.point, m)
+    fwd = _anchor(sys, w.q, 0, m)
     if not max_deviation(sys, sys.apply(z, X), fwd) <= w.epsilon:
         raise CalibrationError(f"witness {m} violates the forward inequality")
     return z, X

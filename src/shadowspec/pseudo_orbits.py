@@ -40,6 +40,10 @@ _JITTER_STEPS = 1 << 16
 _FLIP_SPAN = 8
 
 
+# Systems with ``max_jump`` and ``max_orbit_deviation`` on integers.
+_INTEGER_LANE = (ToralAutomorphism, CircleRotation)
+
+
 def max_metric(values, zero=Fraction(0)):
     """Maximum of metric values, or ``zero`` when there are none."""
     return max(values, default=zero)
@@ -65,10 +69,10 @@ def deviations(sys, x, points, step: int = 1):
 def max_deviation(sys, x, points):
     """The exact max_n d(f^n(x), y_n) over a nonempty list of points.
 
-    Tori take the integer lane, ``ToralAutomorphism.max_orbit_deviation``,
+    Tori and rotations take their integer lane, ``max_orbit_deviation``,
     and every other system the maximum of ``deviations``; both are exact.
     """
-    if isinstance(sys, ToralAutomorphism):
+    if isinstance(sys, _INTEGER_LANE):
         return sys.max_orbit_deviation(x, points)
     return max(deviations(sys, x, points))
 
@@ -113,12 +117,12 @@ class PseudoOrbit:
     def recompute_gap(self):
         """max_i d(f(y_i), y_{i+1}), re-derived from the points.
 
-        Tori take the integer lane (``ToralAutomorphism.max_jump``); every
+        Tori and rotations take their integer lane (``max_jump``); every
         other system takes the maximum of ``distance`` over ``apply``.  Both
         give the same exact value.
         """
         sys = self.system
-        if isinstance(sys, ToralAutomorphism):
+        if isinstance(sys, _INTEGER_LANE):
             return sys.max_jump(self.points)
         jumps = [sys.distance(sys.apply(self.points[i]), self.points[i + 1])
                  for i in range(len(self.points) - 1)]
@@ -130,6 +134,17 @@ def from_true_orbit(sys, x, a: int, b: int) -> PseudoOrbit:
     if a > b:
         raise ValueError(f"empty index range [{a}, {b}]")
     return PseudoOrbit(sys, a, orbit(sys, sys.apply(x, a), b - a))
+
+
+def drift_orbit(sys: CircleRotation, y0, step, length: int) -> PseudoOrbit:
+    """y_0 = y0 and y_(n+1) = y_n + angle + step (mod 1), for n < length.
+
+    Each jump misses the rotation by ``step``, so the drift accumulates.
+    """
+    pts = [y0]
+    for _ in range(length):
+        pts.append((pts[-1] + sys.angle + step) % 1)
+    return PseudoOrbit(sys, 0, pts)
 
 
 def _jitter(rng: random.Random, h: Fraction) -> Fraction:

@@ -22,7 +22,8 @@ from .barycenter import (BarycenterWitness, _heteroclinic_bound, as_periodic,
                          extract_heteroclinic, verify_barycenter)
 from .codecs import decode_point, decode_scalar, encode_point, encode_scalar
 from .errors import SchemaMismatchError, ShadowspecError
-from .pseudo_orbits import PseudoOrbit, max_deviation, perturbed_orbit
+from .pseudo_orbits import (PseudoOrbit, drift_orbit, max_deviation,
+                            perturbed_orbit)
 from .scalars import parse_exact
 from .specification import check_specification
 from .systems import (
@@ -196,12 +197,8 @@ def _rebuild_pseudo_orbit(sys, spec: dict) -> PseudoOrbit:
                                spec["a"], spec["b"],
                                decode_scalar(spec["delta"]), spec["seed"])
     if kind == "drift":
-        y0 = decode_scalar(spec["y0"])
-        step = decode_scalar(spec["delta"])
-        pts = [y0]
-        for _ in range(spec["length"]):
-            pts.append((pts[-1] + sys.angle + step) % 1)
-        return PseudoOrbit(sys, 0, pts)
+        return drift_orbit(sys, decode_scalar(spec["y0"]),
+                           decode_scalar(spec["delta"]), spec["length"])
     raise SchemaMismatchError(f"unknown pseudo-orbit form {kind!r}")
 
 

@@ -34,8 +34,9 @@ from .systems import (
     _pair_mul,
     _sq_dist_to_int,
 )
-from .pseudo_orbits import (PseudoOrbit, deviations, from_true_orbit,
-                           max_deviation, max_metric, perturbed_orbit)
+from .pseudo_orbits import (PseudoOrbit, deviations, drift_orbit,
+                           from_true_orbit, max_deviation, max_metric,
+                           perturbed_orbit)
 
 
 def _expansion_constant(sys: ToralAutomorphism):
@@ -332,16 +333,14 @@ def _falsify_rotation(sys: CircleRotation, epsilon, horizon, rng, delta):
     eps = Fraction(epsilon)
     delta = Fraction(delta) if delta is not None else Fraction(1, horizon)
     y0 = Fraction(rng.randrange(1 << 16), 1 << 16)
-    pts = [y0]
-    for _ in range(horizon):
-        pts.append((pts[-1] + sys.angle + delta) % 1)
-    po = PseudoOrbit(sys, 0, pts)
+    po = drift_orbit(sys, y0, delta, horizon)
     # Candidate tracers on a grid of pitch <= eps/4: any point sits within
     # eps/8 of a grid point and rotation is an isometry, so if every grid
     # orbit deviates by at least 9*eps/8 somewhere, no point stays below eps.
     grid = max(-((-4 * eps.denominator) // eps.numerator), 1)  # ceil(4/eps)
     threshold = eps * Fraction(9, 8)
-    maxdevs = [max_deviation(sys, Fraction(g, grid), pts) for g in range(grid)]
+    maxdevs = [max_deviation(sys, Fraction(g, grid), po.points)
+               for g in range(grid)]
     if min(maxdevs) >= threshold:
         cert = {"gridSize": grid, "threshold": threshold,
                 "gridMaxDeviations": tuple(maxdevs)}

@@ -5,9 +5,10 @@ map (negative k uses the inverse), ``distance(x, y)`` evaluates the metric
 exactly, and ``validate_point(x)`` rejects points that do not belong to the
 space.  Everything downstream is written against this surface only, and
 compares an orbit with a reference sequence through ``pseudo_orbits.orbit``,
-``deviations`` and ``max_deviation``.  Tori also offer ``max_jump`` and
-``max_orbit_deviation``: the same maxima of ``distance`` over ``apply``, on
-integers, behind ``PseudoOrbit.recompute_gap`` and ``max_deviation``.
+``deviations`` and ``max_deviation``.  Tori and rotations also offer
+``max_jump`` and ``max_orbit_deviation``: the same maxima of ``distance`` over
+``apply``, on integers over one denominator, behind
+``PseudoOrbit.recompute_gap`` and ``max_deviation``.
 """
 
 from __future__ import annotations
@@ -653,7 +654,7 @@ class CircleRotation:
     def validate_point(self, x) -> None:
         if not isinstance(x, Fraction):
             raise MalformedPointError("rotation points are exact rationals")
-        if not 0 <= x < 1:
+        if not 0 <= x.numerator < x.denominator:
             raise MalformedPointError("point outside [0, 1)")
 
     def point(self, value) -> Fraction:
@@ -670,6 +671,27 @@ class CircleRotation:
         self.validate_point(y)
         t = abs(x - y)
         return min(t, 1 - t)
+
+    def _integers(self, points):
+        """(den, a, u): the angle is a / den and point i is u[i] / den."""
+        for x in points:
+            self.validate_point(x)
+        angle = self.angle
+        den = lcm(angle.denominator, *(x.denominator for x in points))
+        return (den, angle.numerator * (den // angle.denominator),
+                [x.numerator * (den // x.denominator) for x in points])
+
+    def max_jump(self, points) -> Fraction:
+        """max_i d(f(y_i), y_{i+1}) over consecutive points; 0 for one point."""
+        den, a, u = self._integers(points)
+        steps = ((u1 - u0 - a) % den for u0, u1 in zip(u, u[1:]))
+        return Fraction(max((min(t, den - t) for t in steps), default=0), den)
+
+    def max_orbit_deviation(self, x: Fraction, points) -> Fraction:
+        """max_n d(f^n(x), y_n) over the points y_0, y_1, ..."""
+        den, a, (u0, *ys) = self._integers([x, *points])
+        offsets = ((y - u0 - n * a) % den for n, y in enumerate(ys))
+        return Fraction(max(min(t, den - t) for t in offsets), den)
 
     def describe(self) -> str:
         return f"rotation angle={self.angle}"

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowspec.codecs import encode_point, encode_scalar
-from shadowspec.errors import CalibrationError
+from shadowspec.errors import CalibrationError, MalformedPointError
 from shadowspec.pseudo_orbits import (
     _FLIP_SPAN,
     PseudoOrbit,
     _perturb_sft,
     concatenate,
     deviations,
+    drift_orbit,
     from_true_orbit,
     max_deviation,
     max_metric,
@@ -393,3 +394,93 @@ def test_max_deviation_of_one_point(name):
     for y in (x, pts[-1]):
         assert encode_scalar(max_deviation(sys_, x, [y])) == \
             encode_scalar(sys_.distance(x, y))
+
+
+# -- the rotation integer lane ------------------------------------------------
+
+
+def _rotation_walk(sys_, x, points):
+    """max_n d(f^n(x), y_n) through ``apply`` and ``distance``: the oracle
+    for ``CircleRotation.max_orbit_deviation``."""
+    return max(sys_.distance(sys_.apply(x, n), y) for n, y in enumerate(points))
+
+
+def _rotation_gap_walk(sys_, points):
+    """max_i d(f(y_i), y_(i+1)) through ``apply`` and ``distance``: the
+    oracle for ``CircleRotation.max_jump``."""
+    return max_metric(sys_.distance(sys_.apply(y), z)
+                      for y, z in zip(points, points[1:]))
+
+
+_DENOMINATORS = (1, 2, 3, 10, 49, 610, 1 << 16)
+
+
+def _rotation_lane_cases(seed):
+    """(label, system, x, points) over seeded angles, 0 and 377/610 among
+    them, with points of mixed denominators."""
+    rng = random.Random(seed)
+
+    def draw():
+        d = rng.choice(_DENOMINATORS)
+        return Fraction(rng.randrange(d), d)
+
+    angles = [Fraction(0), Fraction(377, 610),
+              *(Fraction(rng.randrange(d), d) for d in (2, 7, 60, 1 << 16))]
+    for angle in angles:
+        sys_ = CircleRotation(angle)
+        x = draw()
+        true = orbit(sys_, x, 11)
+        half = [sys_.point(y + Fraction(1, 2)) for y in true]
+        # the true orbit with its last point moved: that point alone
+        # decides both maxima
+        last = true[:-1] + [sys_.point(true[-1] + Fraction(1, 3))]
+        drift = drift_orbit(sys_, draw(), Fraction(1, 1000), 520).points
+        yield from (
+            (("mixed", angle), sys_, x, [draw() for _ in range(40)]),
+            (("half-ties", angle), sys_, x, half),
+            (("last-decides", angle), sys_, x, last),
+            (("one-point", angle), sys_, x, [draw()]),
+            (("drift-521", angle), sys_, draw(), list(drift)),
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rotation_lane_matches_distance_walk(seed):
+    for label, sys_, x, pts in _rotation_lane_cases(seed):
+        dev = sys_.max_orbit_deviation(x, pts)
+        walk = _rotation_walk(sys_, x, pts)
+        assert type(dev) is Fraction and dev == walk, label
+        assert encode_scalar(max_deviation(sys_, x, pts)) == \
+            encode_scalar(walk), label
+        gap, gap_walk = sys_.max_jump(pts), _rotation_gap_walk(sys_, pts)
+        assert type(gap) is Fraction and gap == gap_walk, label
+        assert encode_scalar(PseudoOrbit(sys_, 0, pts).gap) == \
+            encode_scalar(gap_walk), label
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0, "exact rationals"),
+    (Fraction(1), r"outside \[0, 1\)"),
+    (Fraction(-1, 3), r"outside \[0, 1\)"),
+])
+def test_rotation_lane_rejects_malformed_points(bad, message):
+    sys_ = CircleRotation(Fraction(377, 610))
+    good = [Fraction(1, 3), Fraction(2, 5), Fraction(7, 8)]
+    with pytest.raises(MalformedPointError, match=message):
+        max_deviation(sys_, bad, good)
+    for i in range(len(good) + 1):
+        pts = good[:i] + [bad] + good[i:]
+        with pytest.raises(MalformedPointError, match=message):
+            max_deviation(sys_, good[0], pts)
+        with pytest.raises(MalformedPointError, match=message):
+            PseudoOrbit(sys_, 0, pts).gap
+
+
+def test_drift_orbit_steps_angle_plus_step():
+    sys_ = CircleRotation(Fraction(377, 610))
+    po = drift_orbit(sys_, Fraction(9, 10), Fraction(1, 1000), 3)
+    assert po.index_range == (0, 3)
+    step = Fraction(377, 610) + Fraction(1, 1000)
+    assert list(po.points) == [(Fraction(9, 10) + n * step) % 1
+                               for n in range(4)]
+    assert po.gap == Fraction(1, 1000)

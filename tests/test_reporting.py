@@ -549,6 +549,25 @@ def test_falsify_replay_ties_threshold_to_epsilon():
                                               "threshold": "0"}))
 
 
+def test_falsify_replay_rebuilds_rotation_certificate():
+    (rec,) = run_check(parse_config(ROTATION_FALSIFY_CFG))
+    pl = rec.witness_payload
+    cert, drift = pl["certificate"], pl["pseudoOrbit"]
+    assert drift["kind"] == "drift" and replay_verify_record(rec)
+    devs = cert["gridMaxDeviations"]
+    nudged = [*devs[:7],
+              encode_scalar(decode_scalar(devs[7]) + Fraction(1, 10**6)),
+              *devs[8:]]
+    y0 = decode_scalar(drift["y0"])
+    forged = [
+        _forge(rec, certificate={**cert, "gridMaxDeviations": nudged}),
+        _forge(rec, pseudoOrbit={**drift, "y0": encode_scalar(
+            (y0 + Fraction(1, 1 << 16)) % 1)}),
+        _forge(rec, pseudoOrbit={**drift, "y0": "1"}),
+    ]
+    assert [replay_verify_record(f) for f in forged] == [False] * 3
+
+
 PERMUTATION_FALSIFY_CFG = (
     "system.kind = permutation\n"
     "system.images = 1 2 0 4 3\n"
