@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
-from itertools import product
 
 from .errors import (
     BudgetExceededError,
@@ -31,7 +31,6 @@ from .scalars import SqrtVal
 from .systems import ShiftSpace, SymbolicPoint, ToralAutomorphism, _primitive
 
 PERIOD_BOUND = 8
-_SHELL_HORIZON = 64
 _BRIDGE_HORIZON = 24
 
 
@@ -58,20 +57,17 @@ def periodic_points(sys, k: int, bound: int = PERIOD_BOUND):
         M = sys.matrix_power(k)
         b00, b01 = M[0][0] - 1, M[0][1]
         b10, b11 = M[1][0], M[1][1] - 1
+        # B = A^k - I is invertible (A has no eigenvalue on the unit
+        # circle), and the points are B^-1 Z^2 mod 1.  B's column Hermite
+        # form is [[g, 0], [c, n/g]] with g the gcd of its first row, so
+        # (i, j) in [0, g) x [0, n/g) meet each of the n = |det B| cosets of
+        # Z^2 / B Z^2 once (Cohen, 2.4.3).
         det = b00 * b11 - b01 * b10
-        if det == 0:
-            raise InternalInvariantError("A^k - I is singular")
-        # The points are B^-1 Z^2 mod 1, B = A^k - I.  B's column Hermite form
-        # is [[g, 0], [c, n/g]] with g the gcd of its first row, so (i, j) in
-        # [0, g) x [0, n/g) meet each coset of Z^2 / B Z^2 once (Cohen, 2.4.3).
         n = abs(det)
         g = gcd(b00, b01)
         seen = {(Fraction(b11 * i - b01 * j, det) % 1,
                  Fraction(b00 * j - b10 * i, det) % 1)
                 for i in range(g) for j in range(n // g)}
-        if len(seen) != n:
-            raise InternalInvariantError(
-                f"found {len(seen)} solutions, expected {n}")
         out = []
         for fx, fy in sorted(seen):
             pt = sys.point(fx, fy)
@@ -96,8 +92,8 @@ def as_periodic(sys, point, bound: int = 64) -> HyperbolicPeriodicPoint:
 # -- heteroclinic intersections ----------------------------------------------
 
 
-def _shells(horizon: int):
-    for r in range(horizon + 1):
+def _shells():
+    for r in count():
         for mx in range(-r, r + 1):
             for my in range(-r, r + 1):
                 if max(abs(mx), abs(my)) == r:
@@ -110,7 +106,9 @@ def _heteroclinic_toral(sys, p: HyperbolicPeriodicPoint,
 
     Returns (z, t, s); |t| controls the backward approach to the orbit of
     p along the unstable line and |s| the forward approach to the orbit
-    of q along the stable line.
+    of q along the stable line.  The unstable line winds densely, so
+    distinct m give distinct z, and only the finitely many points common
+    to both orbits are skipped: the search ends.
     """
     sp = sys.hyperbolic_splitting()
     su, ss = sp.v_u[1], sp.v_s[1]
@@ -119,17 +117,14 @@ def _heteroclinic_toral(sys, p: HyperbolicPeriodicPoint,
                if pt in orbit(sys, q.point, q.period - 1)]
     px, py = p.point.coords
     qx, qy = q.point.coords
-    for mx, my in _shells(_SHELL_HORIZON):
+    for mx, my in _shells():
         wx = qx - px + mx
         wy = qy - py + my
         t = (wy - ss * wx) / dv
         s = (wy - su * wx) / dv
         z = sys.point(px + t, py + t * su)
-        if any(z == e for e in exclude):
-            continue
-        return z, t, s
-    raise HorizonError(
-        f"no eigenline intersection within {_SHELL_HORIZON} shells")
+        if not any(z == e for e in exclude):
+            return z, t, s
 
 
 def _heteroclinic_sft(sys, p: HyperbolicPeriodicPoint,
@@ -151,14 +146,10 @@ def _heteroclinic_sft(sys, p: HyperbolicPeriodicPoint,
             continue
         reachable_any = True
         right = qq.window(L, L + q.period - 1)
-        if L == 0:
-            candidates = [()]
-        else:
-            candidates = (mid for mid in product(range(sys.alphabet_size),
-                                                 repeat=L)
-                          if sys.word_admissible((a,) + mid + (b,)))
-        for bridge in candidates:
-            z = SymbolicPoint(left, bridge, right, 0)
+        for word in sys.words(L + 2):
+            if word[0] != a or word[-1] != b:
+                continue
+            z = SymbolicPoint(left, word[1:-1], right, 0)
             if any(z == e for e in exclude):
                 continue
             sys.validate_point(z)

@@ -57,9 +57,6 @@ class CylinderCell:
     def representative(self, sys: ShiftSpace) -> SymbolicPoint:
         return sys.point_through(self.word, at=-self.w)
 
-    def __repr__(self):
-        return f"CylinderCell({''.join(map(str, self.word))}@{-self.w})"
-
 
 @dataclass(frozen=True)
 class BoxCell:
@@ -75,9 +72,6 @@ class BoxCell:
 
     def representative(self, sys: ToralAutomorphism) -> TorusPoint:
         return sys.point(*self.lower)
-
-    def __repr__(self):
-        return f"BoxCell({', '.join(str(l) for l in self.lower)}; {self.side})"
 
 
 class Cover:

@@ -10,6 +10,7 @@ identical (config, seed) runs serialize byte-identically.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,12 +35,7 @@ from .specification import (
     specification_point,
     transition_times,
 )
-from .systems import (
-    CircleRotation,
-    PermutationSystem,
-    ShiftSpace,
-    ToralAutomorphism,
-)
+from .systems import CircleRotation, ShiftSpace, ToralAutomorphism
 
 
 @dataclass
@@ -57,9 +53,23 @@ class _Ctx:
                             parameters=self.params, outcome=outcome,
                             witness_payload=payload, seed=seed)
 
-    def error(self, exc: ShadowspecError, seed: int) -> ReportRecord:
-        return self.record("error", {"error": exc.code, "message": str(exc)},
-                           seed)
+    @contextmanager
+    def attempt(self, records: list, seed: int | None = None):
+        """Turn a ShadowspecError raised in the block into an error record.
+
+        This is the one place where a failed construction becomes a record;
+        a config error still stops the run.  With no ``seed``, the record's
+        seed is drawn from the run generator after the failure.
+        """
+        try:
+            yield
+        except ConfigError:
+            raise
+        except ShadowspecError as exc:
+            if seed is None:
+                seed = self.rng.getrandbits(32)
+            records.append(self.record(
+                "error", {"error": exc.code, "message": str(exc)}, seed))
 
 
 def _parameters(sys, check: dict) -> dict:
@@ -91,10 +101,7 @@ def _random_point(sys, rng: random.Random):
                          Fraction(rng.randrange(den), den))
     if isinstance(sys, CircleRotation):
         return Fraction(rng.randrange(1 << 16), 1 << 16)
-    if isinstance(sys, PermutationSystem):
-        return rng.randrange(sys.size)
-    raise ConfigError("config-invariant", 0,
-                      f"no point sampler for {type(sys).__name__}")
+    return rng.randrange(sys.size)  # a permutation, the last family
 
 
 def _epsilon_list(check: dict):
@@ -128,7 +135,11 @@ def _epsilon_pairs(sys, check: dict):
     return pairs
 
 
-def _shadow_payload(ctx: _Ctx, po_spec, eps, delta, result) -> dict:
+def _shadow_record(ctx: _Ctx, po, po_spec: dict, eps, delta,
+                   seed: int) -> ReportRecord:
+    """The pass or fail record of tracing ``po`` at (eps, delta)."""
+    result = shadow(ctx.sys, po, eps)
+    ok = po.gap <= delta and result.max_deviation < eps
     payload = {
         "pseudoOrbit": po_spec,
         "epsilon": encode_scalar(eps),
@@ -140,7 +151,7 @@ def _shadow_payload(ctx: _Ctx, po_spec, eps, delta, result) -> dict:
     if ctx.plot:
         payload["perIndexDeviations"] = [encode_scalar(d)
                                          for d in result.per_index_deviations]
-    return payload
+    return ctx.record("pass" if ok else "fail", payload, seed)
 
 
 def _run_shadowing(sys, check: dict, ctx: _Ctx):
@@ -157,18 +168,13 @@ def _run_shadowing(sys, check: dict, ctx: _Ctx):
                 npts = check.get("length", 64)
             x0 = check["start"] if "start" in check else _random_point(sys, sub)
             orbit_seed = sub.getrandbits(32)
-            try:
+            with ctx.attempt(records, seed_i):
                 po = perturbed_orbit(sys, x0, 0, npts - 1, delta, orbit_seed)
-                result = shadow(sys, po, eps)
-                ok = po.gap <= delta and result.max_deviation < eps
-            except ShadowspecError as exc:
-                records.append(ctx.error(exc, seed_i))
-                continue
-            po_spec = {"kind": "seeded", "x": encode_point(sys, x0),
-                       "a": 0, "b": npts - 1,
-                       "delta": encode_scalar(delta), "seed": orbit_seed}
-            payload = _shadow_payload(ctx, po_spec, eps, delta, result)
-            records.append(ctx.record("pass" if ok else "fail", payload, seed_i))
+                po_spec = {"kind": "seeded", "x": encode_point(sys, x0),
+                           "a": 0, "b": npts - 1,
+                           "delta": encode_scalar(delta), "seed": orbit_seed}
+                records.append(_shadow_record(ctx, po, po_spec, eps, delta,
+                                              seed_i))
     return records
 
 
@@ -208,18 +214,11 @@ def _run_exhaustive(sys, check: dict, ctx: _Ctx):
     records = []
     for chain in _window_chains(sys, width, npts):
         points = [sys.point_through(w, at) for w in chain]
-        po = PseudoOrbit(sys, 0, points)
-        try:
-            result = shadow(sys, po, eps)
-            ok = po.gap <= delta and result.max_deviation < eps
-        except ShadowspecError as exc:
-            records.append(ctx.error(exc, ctx.base_seed))
-            continue
-        po_spec = {"kind": "explicit", "start": 0,
-                   "points": [encode_point(sys, y) for y in points]}
-        payload = _shadow_payload(ctx, po_spec, eps, delta, result)
-        records.append(ctx.record("pass" if ok else "fail", payload,
-                                  ctx.base_seed))
+        with ctx.attempt(records, ctx.base_seed):
+            po_spec = {"kind": "explicit", "start": 0,
+                       "points": [encode_point(sys, y) for y in points]}
+            records.append(_shadow_record(ctx, PseudoOrbit(sys, 0, points),
+                                          po_spec, eps, delta, ctx.base_seed))
     return records
 
 
@@ -256,104 +255,93 @@ def _run_spec(sys, check: dict, ctx: _Ctx):
             segments = [(_random_point(sys, sub), sub.randrange(0, max_len + 1))
                         for _ in range(k)]
             level = levels[sub.randrange(len(levels))]
-            try:
+            with ctx.attempt(records, seed_i):
                 schedule = _spec_schedule(sys, eps, max(levels), check, cache)
                 result = specification_point(sys, segments, eps, level,
                                              schedule=schedule)
-            except ShadowspecError as exc:
-                records.append(ctx.error(exc, seed_i))
-                continue
+                payload = {
+                    "tracer": encode_point(sys, result.tracer),
+                    "switchTimes": list(result.switch_times),
+                    "period": result.period,
+                    "segments": [[encode_point(sys, x), n]
+                                 for x, n in segments],
+                    "epsilon": encode_scalar(eps),
+                    "level": level,
+                    "lo": schedule.threshold(level - 1),
+                    "hi": schedule.threshold(level),
+                    "thresholds": [schedule.threshold(n)
+                                   for n in range(schedule.n_levels + 1)],
+                    "maxDeviations": [encode_scalar(d) for d
+                                      in result.per_segment_max_deviation],
+                }
+                records.append(ctx.record("pass", payload, seed_i))
+    return records
+
+
+def _barycenter(sys, check: dict, eps, kind: str):
+    """The barycenter result for the configured p and q at ``eps``.
+
+    A missing or aperiodic p or q, or a negative depth, is a config error.
+    """
+    try:
+        p = as_periodic(sys, check["p"])
+        q = as_periodic(sys, check["q"])
+        return barycenter_point(sys, p, q, eps, check.get("n1", 50),
+                                check.get("n2", 50))
+    except KeyError:
+        raise ConfigError("config-invariant", 0,
+                          f"{kind} checks need points p and q")
+    except ValueError as exc:
+        raise ConfigError("config-invariant", 0, str(exc))
+
+
+def _run_barycenter(sys, check: dict, ctx: _Ctx):
+    records = []
+    for eps in _epsilon_list(check):
+        seed_i = ctx.rng.getrandbits(32)
+        with ctx.attempt(records, seed_i):
+            result = _barycenter(sys, check, eps, ctx.kind)
+            p, q, n_1, n_2 = result.p, result.q, result.n_1, result.n_2
             payload = {
-                "tracer": encode_point(sys, result.tracer),
-                "switchTimes": list(result.switch_times),
-                "period": result.period,
-                "segments": [[encode_point(sys, x), n] for x, n in segments],
+                "x": encode_point(sys, result.x),
+                "X": result.X, "N": result.N, "N1": result.X // 2,
+                "n1": n_1, "n2": n_2,
                 "epsilon": encode_scalar(eps),
-                "level": level,
-                "lo": schedule.threshold(level - 1),
-                "hi": schedule.threshold(level),
-                "thresholds": [schedule.threshold(n)
-                               for n in range(schedule.n_levels + 1)],
-                "maxDeviations": [encode_scalar(d)
-                                  for d in result.per_segment_max_deviation],
+                "p": encode_point(sys, p.point), "pPeriod": p.period,
+                "q": encode_point(sys, q.point), "qPeriod": q.period,
+                "inequalities": (n_1 + 1) + (n_2 + 1),
             }
             records.append(ctx.record("pass", payload, seed_i))
     return records
 
 
-def _run_barycenter(sys, check: dict, ctx: _Ctx):
-    records = []
-    n_1 = check.get("n1", 50)
-    n_2 = check.get("n2", 50)
-    for eps in _epsilon_list(check):
-        seed_i = ctx.rng.getrandbits(32)
-        try:
-            p = as_periodic(sys, check["p"])
-            q = as_periodic(sys, check["q"])
-            result = barycenter_point(sys, p, q, eps, n_1, n_2)
-        except KeyError:
-            raise ConfigError("config-invariant", 0,
-                              "barycenter checks need points p and q")
-        except ValueError as exc:
-            raise ConfigError("config-invariant", 0, str(exc))
-        except ShadowspecError as exc:
-            records.append(ctx.error(exc, seed_i))
-            continue
-        payload = {
-            "x": encode_point(sys, result.x),
-            "X": result.X, "N": result.N, "N1": result.X // 2,
-            "n1": n_1, "n2": n_2,
-            "epsilon": encode_scalar(eps),
-            "p": encode_point(sys, p.point), "pPeriod": p.period,
-            "q": encode_point(sys, q.point), "qPeriod": q.period,
-            "inequalities": (n_1 + 1) + (n_2 + 1),
-        }
-        records.append(ctx.record("pass", payload, seed_i))
-    return records
-
-
 def _run_heteroclinic(sys, check: dict, ctx: _Ctx):
     records = []
-    n_1 = check.get("n1", 50)
-    n_2 = check.get("n2", 50)
     max_depth = check.get("maxDepth", 30)
     for eps in _epsilon_list(check):
-        try:
-            p = as_periodic(sys, check["p"])
-            q = as_periodic(sys, check["q"])
-            result = barycenter_point(sys, p, q, eps, n_1, n_2)
-        except KeyError:
-            raise ConfigError("config-invariant", 0,
-                              "heteroclinic checks need points p and q")
-        except ValueError as exc:
-            raise ConfigError("config-invariant", 0, str(exc))
-        except ShadowspecError as exc:
-            records.append(ctx.error(exc, ctx.rng.getrandbits(32)))
-            continue
-        for depth in range(1, max_depth + 1):
-            seed_i = ctx.rng.getrandbits(32)
-            bound = _heteroclinic_bound(sys, eps, depth)
-            try:
-                witness = cut_witness(result, depth)
-                z, X = extract_heteroclinic(sys, witness)
-                distance = sys.distance(z, result.x)
-                ok = X == result.X and distance <= bound
-            except ShadowspecError as exc:
-                records.append(ctx.error(exc, seed_i))
-                continue
-            payload = {
-                "p": encode_point(sys, p.point),
-                "q": encode_point(sys, q.point),
-                "x": encode_point(sys, result.x),
-                "X": result.X, "N": result.N, "depth": depth,
-                "epsilon": encode_scalar(eps),
-                "z": encode_point(sys, z),
-                "zHet": encode_point(sys, result.x),
-                "bound": encode_scalar(bound),
-                "distance": encode_scalar(distance),
-            }
-            records.append(ctx.record("pass" if ok else "fail", payload,
-                                      seed_i))
+        with ctx.attempt(records):
+            result = _barycenter(sys, check, eps, ctx.kind)
+            for depth in range(1, max_depth + 1):
+                seed_i = ctx.rng.getrandbits(32)
+                with ctx.attempt(records, seed_i):
+                    bound = _heteroclinic_bound(sys, eps, depth)
+                    witness = cut_witness(result, depth)
+                    z, X = extract_heteroclinic(sys, witness)
+                    distance = sys.distance(z, result.x)
+                    ok = X == result.X and distance <= bound
+                    payload = {
+                        "p": encode_point(sys, result.p.point),
+                        "q": encode_point(sys, result.q.point),
+                        "x": encode_point(sys, result.x),
+                        "X": result.X, "N": result.N, "depth": depth,
+                        "epsilon": encode_scalar(eps),
+                        "z": encode_point(sys, z),
+                        "zHet": encode_point(sys, result.x),
+                        "bound": encode_scalar(bound),
+                        "distance": encode_scalar(distance),
+                    }
+                    records.append(ctx.record("pass" if ok else "fail",
+                                              payload, seed_i))
     return records
 
 
@@ -362,20 +350,18 @@ def _run_periodic(sys, check: dict, ctx: _Ctx):
     max_period = check.get("maxPeriod", 6)
     for k in range(1, max_period + 1):
         seed_i = ctx.rng.getrandbits(32)
-        try:
+        with ctx.attempt(records, seed_i):
             found = periodic_points(sys, k, bound=max(max_period, 8))
             expected = expected_periodic_count(sys, k)
             ok = (len(found) == expected
                   and all(sys.apply(hp.point, k) == hp.point for hp in found))
-        except ShadowspecError as exc:
-            records.append(ctx.error(exc, seed_i))
-            continue
-        payload = {
-            "k": k, "count": len(found), "expectedCount": expected,
-            "points": [encode_point(sys, hp.point) for hp in found],
-            "periods": [hp.period for hp in found],
-        }
-        records.append(ctx.record("pass" if ok else "fail", payload, seed_i))
+            payload = {
+                "k": k, "count": len(found), "expectedCount": expected,
+                "points": [encode_point(sys, hp.point) for hp in found],
+                "periods": [hp.period for hp in found],
+            }
+            records.append(ctx.record("pass" if ok else "fail", payload,
+                                      seed_i))
     return records
 
 
@@ -398,32 +384,25 @@ def _run_falsify(sys, check: dict, ctx: _Ctx):
     records = []
     for _ in range(check.get("count", 1)):
         seed_i = ctx.rng.getrandbits(32)
-        try:
+        with ctx.attempt(records, seed_i):
             result = falsify_shadowing(sys, check["epsilon"], horizon, seed_i,
                                        check.get("delta"))
-        except ShadowspecError as exc:
-            records.append(ctx.error(exc, seed_i))
-            continue
-        payload = {
-            "status": result.status,
-            "epsilon": encode_scalar(result.epsilon),
-            "delta": encode_scalar(result.delta),
-            "pseudoOrbit": _falsify_po_spec(sys, result, horizon),
-        }
-        if result.certificate is not None:
-            cert = dict(result.certificate)
-            if "threshold" in cert:
-                cert["threshold"] = encode_scalar(cert["threshold"])
-            if "gridMaxDeviations" in cert:
-                cert["gridMaxDeviations"] = [encode_scalar(d)
-                                             for d in cert["gridMaxDeviations"]]
-            if "minMaxDeviation" in cert:
-                cert["minMaxDeviation"] = encode_scalar(cert["minMaxDeviation"])
-            payload["certificate"] = cert
-        if result.tracer is not None:
-            payload["tracer"] = encode_point(sys, result.tracer)
-        outcome = "pass" if result.status == "certified" else "fail"
-        records.append(ctx.record(outcome, payload, seed_i))
+            payload = {
+                "status": result.status,
+                "epsilon": encode_scalar(result.epsilon),
+                "delta": encode_scalar(result.delta),
+                "pseudoOrbit": _falsify_po_spec(sys, result, horizon),
+            }
+            if result.certificate is not None:
+                payload["certificate"] = {
+                    key: value if isinstance(value, int)
+                    else [encode_scalar(d) for d in value]
+                    if isinstance(value, tuple) else encode_scalar(value)
+                    for key, value in result.certificate.items()}
+            if result.tracer is not None:
+                payload["tracer"] = encode_point(sys, result.tracer)
+            outcome = "pass" if result.status == "certified" else "fail"
+            records.append(ctx.record(outcome, payload, seed_i))
     return records
 
 

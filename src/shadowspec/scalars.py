@@ -109,8 +109,6 @@ class QuadraticNumber:
         if isinstance(other, QuadraticNumber):
             if other.D == self.D or other.q == 0:
                 return QuadraticNumber(self.D, other.p, other.q, other.r)
-            if self.q == 0:
-                return None  # handled by caller re-dispatch
             raise ValueError(f"mixed radicands: sqrt({self.D}) vs sqrt({other.D})")
         if isinstance(other, int):
             return QuadraticNumber(self.D, other, 0, 1)
@@ -157,9 +155,8 @@ class QuadraticNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticNumber":
+        # the norm n is 0 only for zero, and a zero denominator raises
         n = self.p * self.p - self.q * self.q * self.D
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
         return QuadraticNumber(self.D, self.r * self.p, -self.r * self.q, n)
 
     def __truediv__(self, other):
@@ -379,11 +376,10 @@ class SqrtVal:
 
 
 def rational_below_sqrt(x: Fraction, bits: int = 64) -> Fraction:
-    """A rational lower bound for sqrt(x), within a relative 2^-bits."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0)
+    """A rational lower bound for sqrt(x), within a relative 2^-bits.
+
+    ``isqrt`` gives 0 for x = 0 and raises ValueError for x < 0.
+    """
     scale = 1 << bits
     n = x.numerator * scale * scale
     return Fraction(isqrt(n // x.denominator), scale)

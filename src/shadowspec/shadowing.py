@@ -35,8 +35,7 @@ from .systems import (
     _sq_dist_to_int,
 )
 from .pseudo_orbits import (PseudoOrbit, deviations, drift_orbit,
-                           from_true_orbit, max_deviation, max_metric,
-                           perturbed_orbit)
+                           from_true_orbit, max_deviation, perturbed_orbit)
 
 
 def _expansion_constant(sys: ToralAutomorphism):
@@ -92,10 +91,10 @@ def delta_for_epsilon(sys, epsilon):
 class ShadowingResult:
     """A tracer point together with its exact per-index deviations.
 
-    ``deviations`` is either the tuple of deviations or a function of no
-    arguments that computes it; ``per_index_deviations`` computes the tuple
-    on first read and keeps it, so a caller that only needs the maximum
-    never pays for the per-index values.
+    ``deviations`` is a function of no arguments that yields them;
+    ``per_index_deviations`` computes the tuple on first read and keeps it,
+    so a caller that only needs the maximum never pays for the per-index
+    values.
     """
 
     tracer: object
@@ -107,8 +106,7 @@ class ShadowingResult:
 
     @cached_property
     def per_index_deviations(self) -> tuple:
-        devs = self.deviations
-        return tuple(devs() if callable(devs) else devs)
+        return tuple(self.deviations())
 
 
 def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
@@ -136,16 +134,14 @@ def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
     left, _ = ya.tails_at(lo, hi)
     _, right = yb.tails_at(lo, hi)
     tracer = SymbolicPoint(left, core, right, -(a + lo))
-    try:
-        sys.validate_point(tracer)
-    except Exception as exc:
-        raise InternalInvariantError(f"splice tracer inadmissible: {exc}")
-    devs = tuple(deviations(sys, sys.apply(tracer, a), po.points))
-    mx = max_metric(devs)
+    sys.validate_point(tracer)
+    x = sys.apply(tracer, a)
+    mx = max_deviation(sys, x, po.points)
     if not mx < epsilon:
         raise InternalInvariantError(
             f"splice deviation {mx} reached epsilon {epsilon}")
-    return ShadowingResult(tracer, mx, devs, Fraction(epsilon), delta, a)
+    return ShadowingResult(tracer, mx, lambda: deviations(sys, x, po.points),
+                           Fraction(epsilon), delta, a)
 
 
 def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
@@ -260,10 +256,7 @@ def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
 
     def mag(pair):
         lo, hi = _bracket(*pair, k, S)
-        if hi < 0:
-            lo, hi = -hi, -lo
-        elif lo < 0:
-            lo, hi = 0, max(-lo, hi)
+        lo, hi = max(lo, -hi, 0), max(-lo, hi)  # bounds on |value|
         hi = -(-hi >> shift)
         return (lo >> shift, hi) if hi < half_lo else (0, half_hi)
 

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .pseudo_orbits import concatenate, deviations, orbit
-from .scalars import QuadraticNumber, _floor_quad
+from .scalars import _floor_quad
 from .shadowing import delta_for_epsilon, shadow
 from .systems import ShiftSpace, ToralAutomorphism
 
@@ -84,10 +84,8 @@ class TransitionSchedule:
         lv = self._level(n)
         if isinstance(lv, _ToralLevel):
             return lv.x_value
-        key = self._type_key(i, j)
-        if key not in lv.entries:
-            raise NoWitnessError(f"no scheduled transition for cells {i}<-{j}")
-        return lv.entries[key]
+        # every (exit, entry) type of the cover is scheduled (_sft_level)
+        return lv.entries[self._type_key(i, j)]
 
     def _type_key(self, i: int, j: int):
         cells = self.cover.cells
@@ -139,14 +137,16 @@ def _sft_type_counts(cover: Cover):
 
 
 def _sft_pair_of_type(cover: Cover, a: int, b: int, off_diagonal: bool):
-    """Lexicographically first (i, j) realizing an (exit, entry) type."""
+    """Lexicographically first (i, j) realizing an (exit, entry) type.
+
+    Callers pass only types that such a pair realizes.
+    """
     targets = [i for i, c in enumerate(cover.cells) if c.word[0] == b]
     sources = [j for j, c in enumerate(cover.cells) if c.word[-1] == a]
     for i in targets:
         for j in sources:
             if not off_diagonal or i != j:
                 return i, j
-    return None
 
 
 def _sft_level(sys: ShiftSpace, cover: Cover, n: int, m_prev: int,
@@ -182,28 +182,22 @@ def _sft_level(sys: ShiftSpace, cover: Cover, n: int, m_prev: int,
                 f"level {n}: no transition time for cells ({i}, {j}) "
                 f"within horizon {horizon}")
         entries[(a, b)] = X
-    if entries:
-        threshold = max(entries.values())
-    else:
-        threshold = 0  # single-cell cover: the diagonal pass sets it below
+    # A cover has at least two cells (r >= 2), and for distinct cells c, c'
+    # the type (exit of c, entry of c') is off-diagonal, so entries is
+    # never empty here.
+    threshold = max(entries.values())
     for a, b in sorted(diag_types):
         lo = max(m_prev, prev.get((a, b), floor - 1) + 1, floor)
-        hi = threshold if entries else horizon
-        X = least_x(a, b, lo, hi)
+        X = least_x(a, b, lo, threshold)
         if X is None:
             i, j = _sft_pair_of_type(cover, a, b, off_diagonal=False)
             raise HorizonError(
                 f"level {n}: diagonal transition time for cell ({i}, {i}) "
                 f"does not fit below M_{n} = {threshold}")
         entries[(a, b)] = X
-        if not off_types:
-            threshold = max(threshold, X)
+    # least_x chose each X with reachable_in(X - 2w, a, b), X - 2w >= 1
     for (a, b), X in entries.items():
-        steps = X - 2 * w
-        path = sys.path_between(a, b, steps)
-        if path is None:
-            raise InternalInvariantError("scheduled X lost its bridge")
-        bridges[(a, b)] = path
+        bridges[(a, b)] = sys.path_between(a, b, X - 2 * w)
     return _SftLevel(entries, bridges, threshold)
 
 
@@ -343,12 +337,6 @@ class SpecificationResult:
     period: int
 
 
-def _half(epsilon):
-    if isinstance(epsilon, QuadraticNumber):
-        return epsilon / 2
-    return Fraction(epsilon) / 2
-
-
 def cover_tolerance(sys, epsilon):
     """The cover tolerance of a specification run at ``epsilon``.
 
@@ -356,7 +344,7 @@ def cover_tolerance(sys, epsilon):
     delta_for_epsilon(epsilon/2) and epsilon/2, so the cell-diameter slack
     at the seams still lands the final deviations under the full epsilon.
     """
-    half = _half(epsilon)
+    half = Fraction(1, 2) * epsilon
     return min(delta_for_epsilon(sys, half), half)
 
 
@@ -376,9 +364,8 @@ def specification_point(sys, segments, epsilon, level: int,
         sys.validate_point(x)
         if n < 0:
             raise ValueError("segment lengths must be nonnegative")
-    half = _half(epsilon)
-    if not half > 0:
-        raise ValueError("epsilon must be positive")
+    half = Fraction(1, 2) * epsilon
+    # cover_tolerance refuses a nonpositive epsilon (delta_for_epsilon)
     target = cover_tolerance(sys, epsilon)
     if schedule is None:
         cover = build_cover(sys, target, budget)

@@ -27,7 +27,7 @@ Word = tuple[int, ...]
 def _primitive(word: Word) -> Word:
     """Shortest word whose repetition generates ``word``."""
     n = len(word)
-    for period in range(1, n + 1):
+    for period in range(1, n):
         if n % period == 0 and word == word[:period] * (n // period):
             return word[:period]
     return word
@@ -196,12 +196,6 @@ class TorusPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
 
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
     def __repr__(self):
         return f"TorusPoint({', '.join(str(c) for c in self.coords)})"
 
@@ -288,17 +282,14 @@ class ShiftSpace:
     def words(self, length: int) -> Iterable[Word]:
         """All admissible words of the given length, lexicographic order."""
         r = self.alphabet_size
-        if length == 0:
-            yield ()
-            return
-        stack = [(s,) for s in range(r - 1, -1, -1)]
+        stack = [()]
         while stack:
             w = stack.pop()
             if len(w) == length:
                 yield w
                 continue
             for s in range(r - 1, -1, -1):
-                if self.transition[w[-1]][s]:
+                if not w or self.transition[w[-1]][s]:
                     stack.append(w + (s,))
 
     def path_between(self, a: int, b: int, steps: int) -> Word | None:
@@ -310,18 +301,14 @@ class ShiftSpace:
             return () if steps == 0 and a == b else None
         if not self.reachable_in(steps, a, b):
             return None
+        # a path of `remaining` more edges to b exists at every step, so some
+        # successor always continues it, and the last symbol links to b
         out = []
         cur = a
         for remaining in range(steps - 1, 0, -1):
-            for s in self.successors(cur):
-                if self.reachable_in(remaining, s, b):
-                    out.append(s)
-                    cur = s
-                    break
-            else:
-                return None
-        if not self.transition[cur][b]:
-            return None
+            cur = next(s for s in self.successors(cur)
+                       if self.reachable_in(remaining, s, b))
+            out.append(cur)
         return tuple(out)
 
     def point_through(self, word: Sequence[int], at: int = 0) -> SymbolicPoint:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from shadowspec import barycenter
 from shadowspec.barycenter import (
     BarycenterWitness,
     _anchor,
@@ -20,6 +21,8 @@ from shadowspec.errors import (
     BudgetExceededError,
     CalibrationError,
     EmptyInputError,
+    HorizonError,
+    InternalInvariantError,
     NotRelatedError,
 )
 from shadowspec.pseudo_orbits import orbit
@@ -181,8 +184,33 @@ class TestHeteroclinic:
         z = heteroclinic_point(sh, q, p)
         assert z.window(-2, 2) == (0, 0, 1, 1, 1)
 
+    def test_golden_mean_homoclinic_bridge(self):
+        # the bridge from p's past must end on the symbol q's future starts
+        # with; the least such splice of (001)^inf with itself needs L = 3
+        sh = golden_mean_shift()
+        p = as_periodic(sh, SymbolicPoint.periodic((0, 0, 1)))
+        z = heteroclinic_point(sh, p, p)
+        sh.validate_point(z)
+        assert z == SymbolicPoint((1, 0, 0), (0,), (0, 0, 1), -2)
+
+    def test_forced_cycle_has_no_genuine_splice(self):
+        # on the 2-cycle every bridge closes the orbit of p up again
+        sh = ShiftSpace([[0, 1], [1, 0]])
+        p = as_periodic(sh, SymbolicPoint.periodic((0, 1)))
+        with pytest.raises(HorizonError, match="bridge length <= 24"):
+            heteroclinic_point(sh, p, p)
+
 
 class TestBarycenter:
+    def test_construction_ends_with_its_own_check(self, monkeypatch):
+        sh = full_shift(2)
+        p = as_periodic(sh, SymbolicPoint.periodic((0,)))
+        q = as_periodic(sh, SymbolicPoint.periodic((1,)))
+        monkeypatch.setattr(barycenter, "verify_barycenter",
+                            lambda *args: False)
+        with pytest.raises(InternalInvariantError, match="deviates"):
+            barycenter_point(sh, p, q, Fraction(1, 8), 10, 10)
+
     def test_two_shift_frozen_depth(self):
         sh = full_shift(2)
         p = as_periodic(sh, SymbolicPoint.periodic((0,)))

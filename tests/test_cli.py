@@ -1,6 +1,8 @@
 """End-to-end command line behavior, including exit codes."""
 
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -144,6 +146,24 @@ def test_subcommand_config_kind_mismatch(tmp_path, capsys):
     assert "config-invariant" in capsys.readouterr().err
 
 
+def test_check_refusing_its_config_exits_three(tmp_path, capsys):
+    path = cfg_file(tmp_path, PASS_CFG.replace("check.epsilon = 1/4\n", ""))
+    assert main(["check-shadowing", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("shadowspec: config-invariant: "
+                            "check needs epsilon or epsilons\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["shadowspec"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("shadowspec.cli", run_name="__main__")
+    assert info.value.code == 3
+    assert "usage:" in capsys.readouterr().err
+
+
 # --- replay -------------------------------------------------------------------
 
 @pytest.fixture()
@@ -172,6 +192,32 @@ def test_replay_via_config_output_path(tmp_path, report_file, capsys):
 def test_replay_without_source_is_usage_error(capsys):
     assert main(["replay"]) == 3
     capsys.readouterr()
+
+
+def test_replay_of_unreadable_sources(tmp_path, capsys):
+    absent = str(tmp_path / "absent")
+    assert main(["replay", "--config", absent + ".cfg"]) == 3
+    assert main(["replay", absent + ".jsonl"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[1] for line in err] == ["config-syntax"] * 2
+    assert err[1].startswith(f"shadowspec: config-syntax: cannot read {absent}")
+
+
+def test_replay_skips_fail_and_error_records(tmp_path, report_file, capsys):
+    texts = []
+    for command, text in (("spec", ERROR_CFG), ("falsify-shadowing", FAIL_CFG)):
+        main([command, "--config", cfg_file(tmp_path, text)])
+        texts.append(capsys.readouterr().out)
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(texts) + report_file.read_text())
+    # only pass records carry a claim, so the exit code follows them alone
+    assert main(["replay", str(mixed)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 spec error skipped",
+        "1 falsify-shadowing fail skipped",
+        "2 check-shadowing pass verified",
+        "3 check-shadowing pass verified",
+    ]
 
 
 def test_replay_flags_tampered_payload(report_file, capsys):

@@ -156,6 +156,24 @@ def test_permutation_point_round_trip():
         decode_point(sys, "two")
 
 
+@pytest.mark.parametrize("sys, text", [
+    (cat_map(), "1/5,abc"),
+    (CircleRotation(Fraction(1, 3)), "abc"),
+], ids=["toral", "rotation"])
+def test_unparsable_numbers_are_malformed_points(sys, text):
+    with pytest.raises(MalformedPointError, match="not an exact number"):
+        decode_point(sys, text)
+
+
+def test_unknown_types_have_no_encoding():
+    with pytest.raises(TypeError, match="no scalar encoding for float"):
+        encode_scalar(0.5)
+    with pytest.raises(TypeError, match="no point encoding for object"):
+        encode_point(object(), 0)
+    with pytest.raises(TypeError, match="no point decoding for object"):
+        decode_point(object(), "0")
+
+
 # --- segment files ----------------------------------------------------------
 
 def test_segments_round_trip():

@@ -171,6 +171,27 @@ def test_missing_transition():
     assert e.code == "config-invariant" and e.line == 1
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("toral", "toral systems need system.matrix"),
+    ("rotation", "rotations need system.angle"),
+    ("permutation", "permutations need system.images"),
+])
+def test_missing_system_parameter(kind, message):
+    e = err(f"# {kind}\nsystem.kind = {kind}\n")
+    assert e.code == "config-invariant" and e.line == 2
+    assert str(e) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("levels", "1 x", "levels must be integers: '1 x'"),
+    ("epsilons", "1/4 x", "epsilons must be exact numbers: '1/4 x'"),
+])
+def test_bad_list_value(key, value, message):
+    e = err(f"system.kind = sft\nsystem.transition = 11;11\ncheck.{key} = {value}\n")
+    assert e.code == "config-invalid-value" and e.line == 3
+    assert str(e) == f"line 3: {message}"
+
+
 def test_bad_int_value():
     e = err("system.kind = sft\nsystem.transition = 11;11\ncheck.count = ten\n")
     assert e.code == "config-invalid-value" and e.line == 3

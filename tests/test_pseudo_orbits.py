@@ -100,6 +100,16 @@ class TestPerturb:
         quiet = perturbed_orbit(perm, 0, 0, 10, Fraction(1, 2), 5)
         assert quiet.gap == 0  # below metric resolution nothing moves
 
+    def test_sft_delta_below_flip_depth_keeps_true_orbit(self):
+        fs = full_shift(2)
+        x = fs.point_through((0, 1, 1, 0), at=-2)
+        true = from_true_orbit(fs, x, 0, 6).points
+        # flips start at |index| 64 for delta 2^-64 and at none below it
+        assert perturbed_orbit(fs, x, 0, 6, Fraction(1, 2**64), 9).points \
+            != true
+        assert perturbed_orbit(fs, x, 0, 6, Fraction(1, 2**65), 9).points \
+            == true
+
     def test_same_seed_same_orbit(self):
         sys_ = cat_map()
         x = sys_.point(Fraction(1, 5), Fraction(3, 5))

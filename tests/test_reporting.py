@@ -145,6 +145,8 @@ def test_jsonl_rejects_garbage_line(shadow_records):
     text = records_to_jsonl(shadow_records) + "\nnot json"
     with pytest.raises(SchemaMismatchError):
         jsonl_to_records(text)
+    with pytest.raises(SchemaMismatchError, match="line 2: not a record"):
+        jsonl_to_records(records_to_jsonl(shadow_records[:1]) + "[1]\n")
 
 
 def test_csv_agrees_with_jsonl_field_for_field(shadow_records):
@@ -231,6 +233,16 @@ def test_replay_reports_wrong_field_type_as_unreadable(shadow_records):
         rec, witness_payload={**rec.witness_payload, "start": "zero"})
     with pytest.raises(SchemaMismatchError):
         replay_verify_record(forged)
+
+
+def test_replay_refuses_uninterpretable_records(shadow_records):
+    rec = shadow_records[0]
+    with pytest.raises(SchemaMismatchError, match="no system description"):
+        replay_verify_record(dataclasses.replace(rec, parameters={}))
+    with pytest.raises(SchemaMismatchError, match="unknown check kind"):
+        replay_verify_record(dataclasses.replace(rec, check_kind="audit"))
+    with pytest.raises(SchemaMismatchError, match="pseudo-orbit form"):
+        _rebuild_pseudo_orbit(full_shift(2), {"kind": "bogus"})
 
 
 def test_replay_skips_non_pass_records(shadow_records):
@@ -424,6 +436,7 @@ def test_barycenter_replay_checks_times_agree():
     assert _rejected(_forge(rec, X=pl["X"] + 2))
     assert _rejected(_forge(rec, N=pl["N"] + 2))
     assert _rejected(_forge(rec, N1=pl["N1"] + 1))
+    assert _rejected(_forge(rec, pPeriod=2))
 
 
 def test_barycenter_replay_checks_inequality_count():
@@ -460,6 +473,7 @@ def test_heteroclinic_replay_rederives_bound_and_distance(name):
     assert _rejected(_forge(rec, bound="7"))
     assert _rejected(_forge(rec, depth=2))
     assert _rejected(_forge(rec, epsilon="3"))
+    assert _rejected(_forge(rec, z=pl["p"]))
 
 
 SPEC_CFG = (
@@ -513,6 +527,15 @@ def test_periodic_replay_checks_minimal_periods():
         assert set(pl["periods"]) == {1, pl["k"]}
         assert _rejected(_forge(rec, periods=[1] * len(pl["periods"])))
         assert _rejected(_forge(rec, periods=pl["periods"][1:]))
+        # each forgery below passes every check but the one it targets
+        points, periods, count = pl["points"], pl["periods"], pl["count"]
+        short = {"points": points[1:], "periods": periods[1:]}
+        assert _rejected(_forge(rec, points=[points[0]] * count,
+                                periods=[periods[0]] * count))
+        assert _rejected(_forge(rec, **short))
+        assert _rejected(_forge(rec, **short, count=count - 1,
+                                expectedCount=count - 1))
+        assert _rejected(_forge(rec, **short, count=count - 1))
 
 
 def test_replay_rejects_square_radicand(shadow_records):
@@ -589,6 +612,7 @@ def test_falsify_replay_checks_status_and_delta():
         _forge(perm, delta="0"),
         _forge(perm, delta="1/2"),
         _forge(perm, status="not-found"),
+        _forge(rot, certificate={}),
     ]
     assert all(_rejected(f) for f in forged)
 

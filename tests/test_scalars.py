@@ -58,6 +58,13 @@ class TestQuadraticNumber:
     def test_reduction(self):
         assert QuadraticNumber(5, 2, 2, 4) == PHI
         assert QuadraticNumber(5, -3, 0, -6) == Fraction(1, 2)
+        with pytest.raises(ZeroDivisionError):
+            QuadraticNumber(5, 1, 1, 0)
+        with pytest.raises(ZeroDivisionError):
+            QuadraticNumber(5, 0, 0, 3).inverse()
+        with pytest.raises(AttributeError, match="immutable"):
+            PHI.p = 2
+        assert repr(PHI) == "QuadraticNumber(5, 1, 1, 2)"
 
     def test_golden_ratio_algebra(self):
         assert PHI * PHI == PHI + 1
@@ -83,6 +90,9 @@ class TestQuadraticNumber:
 
     def test_comparisons_against_fractions(self):
         assert Fraction(8, 5) < PHI < Fraction(13, 8)
+        assert PHI <= Fraction(13, 8) and not PHI <= Fraction(8, 5)
+        assert PHI >= Fraction(8, 5) and not PHI >= Fraction(13, 8)
+        assert PHI <= PHI and PHI >= PHI
         assert PHI != Fraction(8, 5)
         assert QuadraticNumber.from_rational(5, Fraction(2, 3)) == Fraction(2, 3)
 
@@ -99,10 +109,28 @@ class TestQuadraticNumber:
             PHI + other
         # rational-valued elements coerce into any radicand
         assert PHI + QuadraticNumber.from_rational(8, Fraction(1, 2)) == PHI + Fraction(1, 2)
+        # an irrational right operand from another field is refused even
+        # when the left one is rational, and compares unequal
+        with pytest.raises(ValueError):
+            QuadraticNumber.from_rational(8, Fraction(1, 2)) + PHI
+        assert PHI != other and not PHI == other
+        assert QuadraticNumber.from_rational(8, Fraction(1, 2)) != PHI
+
+    @pytest.mark.parametrize("op", [
+        lambda x: PHI + x, lambda x: PHI - x, lambda x: PHI * x,
+        lambda x: PHI / x, lambda x: x / PHI, lambda x: PHI ** x,
+        lambda x: PHI < x, lambda x: SqrtVal(PHI) < x,
+    ], ids=["add", "sub", "mul", "div", "rdiv", "pow", "lt", "sqrt-lt"])
+    def test_foreign_operands_raise_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(0.5)
 
     def test_hash_agrees_with_eq(self):
         assert hash(QuadraticNumber(5, 2, 2, 4)) == hash(PHI)
         assert len({PHI, QuadraticNumber(5, 2, 2, 4)}) == 1
+        # a rational element equals, so hashes like, its Fraction
+        assert hash(QuadraticNumber(5, 3, 0, 2)) == hash(Fraction(3, 2))
+        assert PHI != "phi"
 
     def test_float_value(self):
         assert abs(float(PHI) - 1.618033988749895) < 1e-12
@@ -155,6 +183,13 @@ class TestSqrtVal:
         assert root2 < SqrtVal(Fraction(3))
         assert SqrtVal(Fraction(4)) == 2
         assert root2 > 0
+        assert root2 >= Fraction(7, 5) and not root2 >= Fraction(3, 2)
+        assert SqrtVal(Fraction(4)) >= 2
+        # a length exceeds every negative number, even one of larger size
+        assert SqrtVal(Fraction(0)) > -5
+        assert root2 != "root2"
+        assert hash(root2) == hash(SqrtVal(Fraction(2)))
+        assert hash(root2) != hash(SqrtVal(Fraction(3)))
 
     def test_of_square_is_abs(self):
         assert SqrtVal.of_square(Fraction(-3, 2)) == Fraction(3, 2)
@@ -174,6 +209,10 @@ class TestSqrtVal:
 
     def test_str(self):
         assert str(SqrtVal(Fraction(1, 8))) == "sqrt(1/8)"
+        assert repr(SqrtVal(Fraction(1, 8))) == "SqrtVal(Fraction(1, 8))"
+        assert float(SqrtVal(Fraction(1, 4))) == 0.5
+        with pytest.raises(AttributeError, match="immutable"):
+            SqrtVal(Fraction(1, 8)).radicand = 2
 
     def test_quadratic_radicand(self):
         v = SqrtVal(PHI)  # sqrt(golden ratio)

@@ -6,7 +6,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowspec.errors import CalibrationError, UnsupportedSystemError
+from shadowspec.errors import (
+    CalibrationError,
+    InternalInvariantError,
+    UnsupportedSystemError,
+)
 from shadowspec.pseudo_orbits import (
     PseudoOrbit,
     from_true_orbit,
@@ -53,6 +57,19 @@ class TestCalibration:
     def test_rotation_unsupported(self):
         with pytest.raises(UnsupportedSystemError):
             delta_for_epsilon(CircleRotation(Fraction(1, 3)), Fraction(1, 10))
+
+    def test_nearly_collinear_eigendirections(self):
+        # slopes (4003 +- sqrt5)/2: the squared sine of the angle between
+        # them is about 2^-41.5, below a 40-bit floor, so the conditioning
+        # bound is read at 60 bits
+        sys_ = ToralAutomorphism([[-2000, 1], [-4006001, 2003]])
+        k = 5148295442949
+        assert delta_for_epsilon(sys_, 1) == QuadraticNumber(5, -k, k, 2**65)
+        # entries near 2^101 put the squared sine below 2^-400: refused
+        n = 2**101
+        sys_ = ToralAutomorphism([[-n, 1], [-(n * (n + 3) + 1), n + 3]])
+        with pytest.raises(InternalInvariantError, match="nearly collinear"):
+            delta_for_epsilon(sys_, 1)
 
 
 class TestShadowSft:
@@ -341,6 +358,16 @@ class TestFalsify:
         dev = max(rot.distance(rot.apply(x, n), y)
                   for n, y in enumerate(res.pseudo_orbit.points))
         assert dev == res.certificate["gridMaxDeviations"][3]
+
+    def test_small_drift_is_not_certified(self):
+        # 8 steps of drift 1/1000 stay within eps/8 of the nearest grid
+        # orbit, so the grid cannot rule every tracer out
+        rot = CircleRotation(Fraction(377, 610))
+        res = falsify_shadowing(rot, Fraction(1, 4), 8, seed=3,
+                                delta=Fraction(1, 1000))
+        assert (res.status, res.certificate, res.tracer) == \
+            ("not-found", None, None)
+        assert len(res.pseudo_orbit.points) == 9
 
     def test_permutation_exhaustive(self):
         perm = PermutationSystem([1, 0, 2])

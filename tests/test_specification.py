@@ -79,6 +79,28 @@ def test_golden_mean_schedule_against_bridge_oracle():
                 assert sched.entry(n, i, j) == oracle_least_x(gm, w, a, b, lower)
 
 
+def test_three_cycle_schedule_fits_diagonal_types():
+    # each cell of the 3-cycle is the only one exiting on its last symbol
+    # and the only one entering with its first, so its returns to itself
+    # form diagonal types; they must fit below the off-diagonal maximum
+    cyc = ShiftSpace([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    cover, sched = build(cyc, Fraction(3, 4))
+    w = cover.cells[0].w
+    assert sched.thresholds == (0, 5, 8)
+    for n in (1, 2):
+        for i in range(3):
+            for j in range(3):
+                a = cover.cells[j].word[-1]
+                b = cover.cells[i].word[0]
+                lower = max(sched.thresholds[n - 1],
+                            sched.entry(n - 1, i, j) + 1 if n > 1 else 0)
+                assert sched.entry(n, i, j) == \
+                    oracle_least_x(cyc, w, a, b, lower)
+                assert sched.verify_entry(n, i, j)
+    assert [sched.entry(n, i, i) for n in (1, 2) for i in range(3)] == \
+        [3, 3, 3, 6, 6, 6]
+
+
 def test_schedule_monotonicity_and_witness_replay():
     gm = golden_mean_shift()
     cover, sched = build(gm, Fraction(3, 4), n_max=4)

@@ -65,6 +65,18 @@ class TestSymbolicPoint:
         b = SymbolicPoint((0, 1), (), (1, 0), 0)
         c = SymbolicPoint.periodic((0, 1))
         assert (b == c) == all(b.symbol(n) == c.symbol(n) for n in range(-20, 20))
+        assert a != (0,) and a != 0
+
+    def test_repr_and_malformed_construction(self):
+        x = SymbolicPoint((0, 1), (2,), (1,), 3)
+        assert repr(x) == "SymbolicPoint(01~2~1@3)"
+        assert repr(SymbolicPoint.periodic((1,))) == "SymbolicPoint(1~-~1@0)"
+        with pytest.raises(MalformedPointError, match="tail words"):
+            SymbolicPoint((), (0,), (1,))
+        with pytest.raises(MalformedPointError, match="empty period"):
+            SymbolicPoint.periodic(())
+        with pytest.raises(AttributeError, match="immutable"):
+            x.offset = 0
 
 
 class TestShiftSpace:
@@ -75,6 +87,15 @@ class TestShiftSpace:
             ShiftSpace([[1, 2], [1, 1]])
         with pytest.raises(ValueError):
             ShiftSpace([[1, 1], [1]])
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1] * 11] * 11, "beyond 10 symbols"),
+        ([[1, 1], [0, 0]], "at least one successor"),
+        ([[1, 0], [1, 0]], "at least one predecessor"),
+    ], ids=["eleven-symbols", "no-successor", "no-predecessor"])
+    def test_constructor_names_the_defect(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            ShiftSpace(matrix)
 
     def test_words_and_admissibility(self):
         gm = golden_mean_shift()
@@ -90,6 +111,10 @@ class TestShiftSpace:
             gm.validate_point(SymbolicPoint.periodic((1, 1)))
         with pytest.raises(MalformedPointError):
             gm.validate_point(SymbolicPoint.periodic((2,)))
+        with pytest.raises(MalformedPointError, match="right tail"):
+            gm.validate_point(SymbolicPoint((0,), (), (1,)))
+        with pytest.raises(MalformedPointError, match="expected SymbolicPoint"):
+            gm.validate_point((0, 1))
 
     @pytest.mark.parametrize("point,index", [
         # ...0101|11|0... with the core at [-3, 0): the left seam
@@ -124,6 +149,9 @@ class TestShiftSpace:
         assert not gm.reachable_in(1, 1, 1)
         assert gm.path_between(1, 1, 2) == (0,)
         assert gm.path_between(0, 0, 3) == (0, 0)
+        assert gm.path_between(0, 0, 0) == ()
+        assert gm.path_between(0, 1, 0) is None
+        assert gm.path_between(1, 1, 1) is None
         assert not ShiftSpace([[1, 0], [0, 1]]).irreducible
 
     def test_point_through(self):
@@ -131,6 +159,10 @@ class TestShiftSpace:
         x = gm.point_through((1, 0, 1), at=-1)
         assert x.window(-1, 1) == (1, 0, 1)
         gm.validate_point(x)
+        with pytest.raises(MalformedPointError, match="empty word"):
+            gm.point_through(())
+        with pytest.raises(MalformedPointError, match="inadmissible word"):
+            gm.point_through((1, 1))
 
     def test_describe(self):
         assert golden_mean_shift().describe() == "sft r=2 T=11;10"
@@ -194,6 +226,12 @@ class TestToralAutomorphism:
         sys_ = cat_map()
         with pytest.raises(MalformedPointError):
             sys_.validate_point(sys_.point(Fraction(0), Fraction(0), Fraction(0)))
+        with pytest.raises(MalformedPointError, match="2-torus point"):
+            sys_.validate_point((Fraction(0), Fraction(0)))
+        with pytest.raises(MalformedPointError, match="different field"):
+            sys_.point(QuadraticNumber(13, 0, 1, 4), Fraction(0))
+        x = sys_.point(Fraction(1, 2), QuadraticNumber(5, -1, 1, 2))
+        assert repr(x) == "TorusPoint(1/2, -1/2+1/2√5)"
 
     @pytest.mark.parametrize("coords", [
         # a coordinate over Q(sqrt(13)) on a D = 5 map, and one equal to 7/2
@@ -237,6 +275,8 @@ class TestRotation:
         rot = CircleRotation(Fraction(1, 3))
         with pytest.raises(MalformedPointError):
             rot.validate_point(Fraction(3, 2))
+        with pytest.raises(ValueError, match="angle"):
+            CircleRotation(Fraction(1))
 
     def test_describe(self):
         assert CircleRotation(Fraction(377, 610)).describe() == "rotation angle=377/610"
