@@ -352,6 +352,8 @@ def replay_verify_record(record: ReportRecord) -> bool:
         return replayer(sys, record.witness_payload)
     except (KeyError, TypeError) as exc:
         raise SchemaMismatchError(f"unreadable payload: {exc!r}") from None
+    except SchemaMismatchError:
+        raise
     except (ShadowspecError, ValueError):
         return False
 

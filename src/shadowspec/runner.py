@@ -115,6 +115,9 @@ def _epsilon_list(check: dict):
 def _epsilon_pairs(sys, check: dict):
     """(epsilon, delta) combinations a shadowing run iterates over.
 
+    delta is None where the config leaves it to the calibration, which the
+    run then takes inside its error arm.
+
     epsilonFactor scales epsilon off the calibration line: epsilon =
     factor * delta / delta_for_epsilon(1), so factor 1 sits exactly on it.
     """
@@ -128,11 +131,7 @@ def _epsilon_pairs(sys, check: dict):
         eps = sys.scalar(delta * check["epsilonFactor"]) \
             / delta_for_epsilon(sys, Fraction(1))
         return [(eps, delta)]
-    pairs = []
-    for eps in _epsilon_list(check):
-        delta = check["delta"] if "delta" in check else delta_for_epsilon(sys, eps)
-        pairs.append((eps, delta))
-    return pairs
+    return [(eps, check.get("delta")) for eps in _epsilon_list(check)]
 
 
 def _shadow_record(ctx: _Ctx, po, po_spec: dict, eps, delta,
@@ -169,6 +168,8 @@ def _run_shadowing(sys, check: dict, ctx: _Ctx):
             x0 = check["start"] if "start" in check else _random_point(sys, sub)
             orbit_seed = sub.getrandbits(32)
             with ctx.attempt(records, seed_i):
+                if delta is None:  # calibrated once per epsilon, if at all
+                    delta = delta_for_epsilon(sys, eps)
                 po = perturbed_orbit(sys, x0, 0, npts - 1, delta, orbit_seed)
                 po_spec = {"kind": "seeded", "x": encode_point(sys, x0),
                            "a": 0, "b": npts - 1,

@@ -1,11 +1,13 @@
 """Explicit tracing of pseudo-orbits in expansive systems.
 
-``shadow_sft`` splices shift symbols; ``shadow_toral`` cancels the lifted
-jump errors of a hyperbolic toral automorphism in one integer lane, for
-every discriminant and for rational and irrational points alike.  Both
-constructions are exact: the returned tracer is a point whose true orbit
-stays strictly within epsilon of every pseudo-orbit point, and the reported
-deviations are exact torus distances, not byproducts of the construction.
+``shadow_sft`` splices shift symbols; ``shadow_toral`` sums the unstable
+components of the lifted jump errors of a hyperbolic toral automorphism
+backward, in one integer lane, for every discriminant and for rational and
+irrational points alike.  Both constructions are exact: the returned tracer
+is a point whose true orbit stays strictly within epsilon of every
+pseudo-orbit point, and the reported deviations are exact torus distances
+of that orbit, measured by the walk replay takes, not byproducts of the
+construction.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
 
 from .errors import (
     CalibrationError,
@@ -28,11 +29,8 @@ from .systems import (
     ShiftSpace,
     SymbolicPoint,
     ToralAutomorphism,
-    _bracket,
-    _max_filtered,
     _max_pair,
     _pair_mul,
-    _sq_dist_to_int,
 )
 from .pseudo_orbits import (PseudoOrbit, deviations, drift_orbit,
                            from_true_orbit, max_deviation, perturbed_orbit)
@@ -148,17 +146,18 @@ def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
                  epsilon) -> ShadowingResult:
     """Trace a toral pseudo-orbit by cancelling lifted jump errors.
 
-    Lift the points so consecutive jumps are nearest-translate errors,
-    split each error into eigencomponents, sum the stable components
-    forward and the unstable ones backward, and add the resulting
-    correction to each lifted point.  The corrections telescope exactly,
-    so the output is a true orbit; hyperbolicity bounds every correction
-    by delta * C < epsilon.
+    Take each jump as its nearest-translate error, split the errors into
+    eigencomponents and sum the unstable ones backward to u_0.  The tracer
+    is y_0 + u_0 * v_u: its orbit differs from the lifted points by the
+    forward sums of the stable components plus the backward sums of the
+    unstable ones, and hyperbolicity bounds both by delta * C < epsilon.
+    The deviations are then measured on the tracer's own orbit by
+    ``ToralAutomorphism.max_orbit_deviation``, the kernel replay uses.
 
     Everything runs on integer pairs (see the integer lane in
     ``systems``): coordinates over one common denominator Q, and errors
-    and corrections as elements (a + b*sqrt(D)) / 2 of the order, for any
-    discriminant and for rational or irrational points alike.
+    as elements (a + b*sqrt(D)) / 2 of the order, for any discriminant and
+    for rational or irrational points alike.
     """
     if not isinstance(sys, ToralAutomorphism):
         raise UnsupportedSystemError("shadow_toral needs a toral automorphism")
@@ -168,22 +167,17 @@ def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
     D = sys.D
     (a, b), (c, d) = sys.matrix
     Q, us, vs = sys._integer_vectors(po.points)
-    m = len(us)
 
-    # Lifts keep each point's sqrt(D) parts and move its rational parts by
-    # the integer translate nearest to A * lift_n, ties toward the smaller
-    # integer: ceil(t - 1/2) = -floor((1 - 2t) / 2).  Coordinate i of the
-    # error e_n = lift_{n+1} - A * lift_n is (eu_i + ev_i*sqrt(D)) / Q.
-    lift = us[0]
+    # The jump error e_n = y_{n+1} + k_n - A * y_n takes the integer vector
+    # k_n nearest to t = A * y_n - y_{n+1}, ties toward the smaller integer:
+    # ceil(t - 1/2) = -floor((1 - 2t) / 2).  It is the same for every lift
+    # of y_n.  Coordinate i of e_n is (eu_i + ev_i*sqrt(D)) / Q.
     errs = []
-    for n in range(m - 1):
-        (x0, x1), (y0, y1) = lift, vs[n]
-        (p0, p1), (q0, q1) = us[n + 1], vs[n + 1]
+    for (x0, x1), (y0, y1), (p0, p1), (q0, q1) in zip(us, vs, us[1:], vs[1:]):
         t0, t1 = a * x0 + b * x1 - p0, c * x0 + d * x1 - p1
         w0, w1 = a * y0 + b * y1 - q0, c * y0 + d * y1 - q1
         k0 = -_floor_quad(D, Q - 2 * t0, -2 * w0, 2 * Q)
         k1 = -_floor_quad(D, Q - 2 * t1, -2 * w1, 2 * Q)
-        lift = (p0 + k0 * Q, p1 + k1 * Q)
         errs.append((k0 * Q - t0, -w0, k1 * Q - t1, -w1))
 
     if errs:
@@ -203,96 +197,32 @@ def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
     #   1 / lam_u = det * lam_s, and the eigenvector of lam is
     #   (1, (lam - a) / b) with lam - a = (h, g) for lam_s, (h, -g) for lam_u.
     # e_n = alpha_n v_s + beta_n v_u; scaled by Q * (lam_u - lam_s),
-    #   alpha = e_x * (lam_u - a) - b * e_y, beta = b * e_y - e_x * (lam_s - a),
-    # and s_{n+1} = lam_s s_n - alpha_n runs forward from s_0 = 0,
-    # u_n = (u_{n+1} + beta_n) / lam_u backward from u_{m-1} = 0.
+    #   beta = b * e_y - e_x * (lam_s - a),
+    # and u_n = (u_{n+1} + beta_n) / lam_u runs backward from u_{m-1} = 0.
     g = -1 if a + d > 0 else 1
     h, gD, b2 = d - a, g * D, 2 * b
-    lam_s, lu_inv = (a + d, g), (sys.det * (a + d), sys.det * g)
-    shat = [(0, 0)]
-    for eu, ev, fu, fv in errs:
-        s0, s1 = _pair_mul(D, lam_s, shat[-1])
-        shat.append((s0 - h * eu + gD * ev + b2 * fu,
-                     s1 - h * ev + g * eu + b2 * fv))
-    uhat = [(0, 0)] * m
-    for n in range(m - 2, -1, -1):
-        eu, ev, fu, fv = errs[n]
-        u0, u1 = uhat[n + 1]
-        uhat[n] = _pair_mul(D, lu_inv, (u0 + b2 * fu - h * eu - gD * ev,
-                                        u1 + b2 * fv - h * ev - g * eu))
+    lu_inv = (sys.det * (a + d), sys.det * g)
+    u0 = u1 = 0
+    for eu, ev, fu, fv in reversed(errs):
+        u0, u1 = _pair_mul(D, lu_inv, (u0 + b2 * fu - h * eu - gD * ev,
+                                       u1 + b2 * fv - h * ev - g * eu))
 
-    # corr_n = s_n * v_s + u_n * v_u, times b * Q * (lam_u - lam_s), is the
-    # pair (X, Y) per coordinate, so the coordinate itself is
-    # (G*Y*D + G*X*sqrt(D)) / den with G = -g * sign(b)
-    cxs, cys = [], []
-    for (s0, s1), (u0, u1) in zip(shat, uhat):
-        cxs.append((b * (s0 + u0), b * (s1 + u1)))
-        cys.append(((h * (s0 + u0) + gD * (s1 - u1)) >> 1,
-                    (h * (s1 + u1) + g * (s0 - u0)) >> 1))
-    R = abs(b) * Q
+    # The tracer is y_0 + u_0 * v_u.  Times b * Q * (lam_u - lam_s), each
+    # coordinate of u_0 * v_u is a pair (X, Y), and the coordinate itself is
+    # (G*Y*D + G*X*sqrt(D)) / den with G = -g * sign(b).
     G = -g if b > 0 else g
-    den = 2 * D * R
-
-    # true-orbit identity A*corr_n - corr_{n+1} = e_n, at that scale
-    bg = 2 * b * g
-    for n in range(m - 1):
-        eu, ev, fu, fv = errs[n]
-        (x0, x1), (y0, y1) = cxs[n], cys[n]
-        (X0, X1), (Y0, Y1) = cxs[n + 1], cys[n + 1]
-        if (a * x0 + b * y0 - X0 + bg * D * ev, a * x1 + b * y1 - X1 + bg * eu,
-                c * x0 + d * y0 - Y0 + bg * D * fv,
-                c * x1 + d * y1 - Y1 + bg * fu) != (0, 0, 0, 0):
-            raise InternalInvariantError("corrected points are not an orbit")
-
-    # Deviations.  |corr| < 1/2 iff |X + Y*sqrt(D)| < R*sqrt(D).  k puts the
-    # bracket error |Y| about 128 bits below R*sqrt(D)*2^k, and the shift
-    # keeps every bound near 160 bits.  A component proved below 1/2 is its
-    # own distance to the torus lattice; any other is at most 1/2 away.
-    bits = max(abs(y).bit_length() for _, y in (*cxs, *cys, (0, R)))
-    k = max(bits + 128 - R.bit_length(), 0)
-    S = isqrt(D << 2 * k)
-    shift = max(bits - 32, 0)
-    half_lo, half_hi = R * S >> shift, -(-R * (S + 1) >> shift)
-
-    def mag(pair):
-        lo, hi = _bracket(*pair, k, S)
-        lo, hi = max(lo, -hi, 0), max(-lo, hi)  # bounds on |value|
-        hi = -(-hi >> shift)
-        return (lo >> shift, hi) if hi < half_lo else (0, half_hi)
-
-    bounds = []
-    for cx, cy in zip(cxs, cys):
-        (xl, xh), (yl, yh) = mag(cx), mag(cy)
-        bounds.append((xl * xl + yl * yl, xh * xh + yh * yh))
-
-    def sq_dev(n):
-        # dev_n^2 = (p + q*sqrt(D)) / den^2, wrapping each coordinate
-        (x0, y0), (x1, y1) = cxs[n], cys[n]
-        p0, q0 = _sq_dist_to_int(D, G * y0 * D, G * x0, den)
-        p1, q1 = _sq_dist_to_int(D, G * y1 * D, G * x1, den)
-        return p0 + p1, q0 + q1
-
-    mxdev = SqrtVal(QuadraticNumber(D, *_max_filtered(D, bounds, sq_dev),
-                                    den * den))
+    den = 2 * D * abs(b) * Q
+    corr = ((b * u0, b * u1), ((h * u0 - gD * u1) >> 1, (h * u1 - g * u0) >> 1))
+    tracer = sys.point(*(QuadraticNumber(D, u, v, Q)
+                         + QuadraticNumber(D, G * Y * D, G * X, den)
+                         for u, v, (X, Y) in zip(us[0], vs[0], corr)))
+    mxdev = sys.max_orbit_deviation(tracer, po.points)
     if not mxdev < eps:
         raise InternalInvariantError(
             f"deviation {mxdev} reached epsilon {eps}")
-
-    def point(n, lifted):
-        return sys.point(*(QuadraticNumber(D, u, v, Q)
-                           + QuadraticNumber(D, G * y * D, G * x, den)
-                           for u, v, (x, y) in
-                           zip(lifted, vs[n], (cxs[n], cys[n]))))
-
-    tracer = point(0, us[0])
-    if sys.apply(tracer, m - 1) != point(m - 1, lift):
-        raise InternalInvariantError("tracer orbit drifts from construction")
-
-    def devs():
-        return (SqrtVal(QuadraticNumber(D, *sq_dev(n), den * den))
-                for n in range(m))
-
-    return ShadowingResult(tracer, mxdev, devs, eps, delta, po.index_range[0])
+    return ShadowingResult(
+        tracer, mxdev, lambda: sys.orbit_deviations(tracer, po.points),
+        eps, delta, po.index_range[0])
 
 
 def shadow(sys, po: PseudoOrbit, epsilon) -> ShadowingResult:

@@ -8,7 +8,8 @@ compares an orbit with a reference sequence through ``pseudo_orbits.orbit``,
 ``deviations`` and ``max_deviation``.  Tori and rotations also offer
 ``max_jump`` and ``max_orbit_deviation``: the same maxima of ``distance`` over
 ``apply``, on integers over one denominator, behind
-``PseudoOrbit.recompute_gap`` and ``max_deviation``.
+``PseudoOrbit.recompute_gap`` and ``max_deviation``; tori also give the
+per-index values as ``orbit_deviations``.
 """
 
 from __future__ import annotations
@@ -401,10 +402,12 @@ def _mat_mul(A, B):
 # eigenvalues and eigenslopes, which lie in the order Z[(D + sqrt(D))/2]:
 # there an element is a pair (a, b) standing for (a + b*sqrt(D)) / 2 with
 # a = b*D (mod 2), and the product of two such pairs halves exactly
-# (``_pair_mul``).  Signs go through a fixed-point filter first:
+# (``_pair_mul``).  Maxima go through a fixed-point filter first:
 # 2^k * (p + q*sqrt(D)) lies within |q| of (p << k) + q*isqrt(D * 4^k)
 # (``_bracket``), so most comparisons settle on those intervals and an
-# exact sign runs only where the intervals overlap (``_max_filtered``).
+# exact square and sign run only where they overlap (``_max_filtered``).
+# ``max_orbit_deviation`` steps such values with the map as it walks, and
+# every toral tracer, built or replayed, is measured by that one walk.
 
 
 def _sq_dist_to_int(D: int, u: int, v: int, den: int) -> tuple[int, int]:
@@ -417,6 +420,24 @@ def _sq_dist_to_int(D: int, u: int, v: int, den: int) -> tuple[int, int]:
     n = _floor_quad(D, 2 * u + den, 2 * v, 2 * den)
     w = u - n * den
     return w * w + v * v * D, 2 * w * v
+
+
+def _sq_norm(D: int, offset, den: int, k: int, S: int) -> tuple[int, int]:
+    """Squared torus norm of the offset (u0, v0, u1, v1), as a pair over den^2.
+
+    Coordinate i is (u + v*sqrt(D)) / den, and S = isqrt(D * 4^k).  Its
+    nearest integer is read off both ends of the bracket v*S, v*S + v of
+    2^k * v*sqrt(D) when they round alike, else from ``_floor_quad``.
+    """
+    p = q = 0
+    for u, v in (offset[:2], offset[2:]):
+        g = v * S + (den << k - 1)
+        h = g >> k
+        n = (u + h) // den if (g + v) >> k == h else \
+            _floor_quad(D, 2 * u + den, 2 * v, 2 * den)
+        w = u - n * den
+        p, q = p + w * w + v * v * D, q + 2 * w * v
+    return p, q
 
 
 def _pair_mul(D: int, x, y) -> tuple[int, int]:
@@ -603,21 +624,61 @@ class ToralAutomorphism:
             jumps.append((p0 + p1, q0 + q1))
         return SqrtVal(QuadraticNumber(D, *_max_pair(D, jumps), den * den))
 
-    def max_orbit_deviation(self, x: TorusPoint, points) -> SqrtVal:
-        """max_n d(f^n(x), y_n) over the points y_0, y_1, ..."""
-        D = self.D
+    def _offsets(self, x: TorusPoint, points):
+        """(den, k, S, us, vs, offsets): the orbit of x against the y_n.
+
+        ``us``, ``vs`` are ``_integer_vectors([x, *points])``; coordinate i
+        of f^n(x) - y_n is (U_i + V_i*sqrt(D)) / den, offsets[n] = (U_0, V_0,
+        U_1, V_1), with U mod den (a lattice translate) and V exact.  k is
+        the largest bit length of a V plus 64, and S = isqrt(D * 4^k).
+        """
         den, us, vs = self._integer_vectors([x, *points])
         (a, b), (c, d) = self.matrix
-
-        devs = []
         (u0, u1), (v0, v1) = us[0], vs[0]
+        offsets = []
         for (x0, x1), (y0, y1) in zip(us[1:], vs[1:]):
-            p0, q0 = _sq_dist_to_int(D, u0 - x0, v0 - y0, den)
-            p1, q1 = _sq_dist_to_int(D, u1 - x1, v1 - y1, den)
-            devs.append((p0 + p1, q0 + q1))
-            u0, u1 = a * u0 + b * u1, c * u0 + d * u1
+            offsets.append(((u0 - x0) % den, v0 - y0, (u1 - x1) % den, v1 - y1))
+            u0, u1 = (a * u0 + b * u1) % den, (c * u0 + d * u1) % den
             v0, v1 = a * v0 + b * v1, c * v0 + d * v1
-        return SqrtVal(QuadraticNumber(D, *_max_pair(D, devs), den * den))
+        k = max(abs(V).bit_length() for o in offsets for V in o[1::2]) + 64
+        return den, k, isqrt(self.D << 2 * k), us, vs, offsets
+
+    def orbit_deviations(self, x: TorusPoint, points):
+        """d(f^n(x), y_n) for each point y_n in turn, exactly."""
+        D = self.D
+        den, k, S, _, _, offsets = self._offsets(x, points)
+        for offset in offsets:
+            yield SqrtVal(QuadraticNumber(D, *_sq_norm(D, offset, den, k, S),
+                                          den * den))
+
+    def max_orbit_deviation(self, x: TorusPoint, points) -> SqrtVal:
+        """max_n d(f^n(x), y_n) over the points y_0, y_1, ...
+
+        With W = den * 2^k, 2^k * (U + V*sqrt(D)) lies within |V| < 2^s of
+        t = (U << k) + V*S mod W, so min(t, W - t) is 2^k * den times the
+        coordinate's distance to the lattice within 2^s.  x's t steps by A
+        mod W, with no product by S after the first.  Only the indices whose
+        bounds reach the largest lower bound are squared exactly.
+        """
+        D = self.D
+        den, k, S, us, vs, offsets = self._offsets(x, points)
+        (a, b), (c, d) = self.matrix
+        s, W = k - 64, den << k
+        (x0, x1), (y0, y1) = us[0], vs[0]
+        T0, T1 = (x0 << k) + y0 * S, (x1 << k) + y1 * S
+        bounds = []
+        for (x0, x1), (y0, y1) in zip(us[1:], vs[1:]):
+            lo = hi = 0
+            for t in ((T0 - (x0 << k) - y0 * S) % W,
+                      (T1 - (x1 << k) - y1 * S) % W):
+                q = min(t, W - t) >> s  # the distance lies in (q-1, q+2) * 2^s
+                lo += max(q - 1, 0) ** 2
+                hi += (q + 2) ** 2
+            bounds.append((lo, hi))
+            T0, T1 = (a * T0 + b * T1) % W, (c * T0 + d * T1) % W
+        best = _max_filtered(D, bounds,
+                             lambda n: _sq_norm(D, offsets[n], den, k, S))
+        return SqrtVal(QuadraticNumber(D, *best, den * den))
 
     def hyperbolic_splitting(self) -> HyperbolicSplitting:
         return self._splitting

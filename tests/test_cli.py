@@ -85,6 +85,16 @@ def test_error_record_exits_two(tmp_path, capsys):
     assert records[0].witness_payload["error"] == "not-transitive"
 
 
+def test_uncalibrated_system_exits_two(tmp_path, capsys):
+    text = ("system.kind = rotation\nsystem.angle = 1/3\n"
+            "check.epsilon = 1/4\ncheck.count = 3\n")
+    code = main(["check-shadowing", "--config", cfg_file(tmp_path, text)])
+    records = jsonl_to_records(capsys.readouterr().out)
+    assert code == 2
+    assert [r.witness_payload["error"] for r in records] == \
+        ["unsupported-system"] * 3
+
+
 def test_csv_output_format(tmp_path, capsys):
     path = cfg_file(tmp_path, PASS_CFG + "output.format = csv\n")
     assert main(["check-shadowing", "--config", path]) == 0
@@ -236,6 +246,14 @@ def test_replay_rejects_unreadable_payload(report_file, capsys):
     report_file.write_text("\n".join(json.dumps(d) for d in lines))
     assert main(["replay", str(report_file)]) == 2
     assert "schema-mismatch" in capsys.readouterr().err
+
+
+def test_replay_rejects_unknown_pseudo_orbit_form(report_file, capsys):
+    lines = [json.loads(s) for s in report_file.read_text().splitlines()]
+    lines[1]["witnessPayload"]["pseudoOrbit"]["kind"] = "bogus"
+    report_file.write_text("\n".join(json.dumps(d) for d in lines))
+    assert main(["replay", str(report_file)]) == 2
+    assert "unknown pseudo-orbit form 'bogus'" in capsys.readouterr().err
 
 
 def test_replay_rejects_foreign_digest(report_file, capsys):

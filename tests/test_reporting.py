@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from shadowspec.pseudo_orbits import (
     from_true_orbit,
     max_deviation,
     max_metric,
+    orbit,
     perturbed_orbit,
 )
 from shadowspec.reporting import (
@@ -213,6 +215,16 @@ def test_replay_rejects_foreign_digest(shadow_records):
         replay_verify_record(forged)
 
 
+def test_replay_rejects_unknown_pseudo_orbit_form(shadow_records):
+    # a replayer's own SchemaMismatchError is not a claim found false
+    rec = shadow_records[0]
+    spec = {**rec.witness_payload["pseudoOrbit"], "kind": "bogus"}
+    forged = dataclasses.replace(
+        rec, witness_payload={**rec.witness_payload, "pseudoOrbit": spec})
+    with pytest.raises(SchemaMismatchError, match="unknown pseudo-orbit form"):
+        replay_verify_record(forged)
+
+
 def test_replay_rejects_future_schema(shadow_records):
     forged = dataclasses.replace(shadow_records[0],
                                  schema_version=SCHEMA_VERSION + 1)
@@ -322,11 +334,83 @@ def test_integer_lane_matches_generic_walk(name):
     for label, (points, tracer) in cases.items():
         assert encode_scalar(sys.max_jump(points)) == \
             encode_scalar(_generic_gap(sys, points)), label
+        walk = _tracer_deviations(sys, PseudoOrbit(sys, 0, points), tracer, 0)
+        assert [encode_scalar(d) for d in sys.orbit_deviations(tracer, points)] \
+            == [encode_scalar(d) for d in walk], label
         for a, start in itertools.product((0, -3, 4), repeat=2):
             po = PseudoOrbit(sys, a, points)
             lane = _lane_max_deviation(sys, po, tracer, start)
             generic = _generic_max_deviation(sys, po, tracer, start)
             assert encode_scalar(lane) == encode_scalar(generic), (label, a, start)
+
+
+def test_integer_lane_orders_a_pell_near_tie():
+    # a^2 - 5b^2 = 1 with a + b*sqrt5 = (9 + 4*sqrt5)^21, so omega = a - b*sqrt5
+    # is about 2^-88: below the walk's 64-bit window, index 3's shift
+    # 1/1000 + omega ties index 1's 1/1000 on their bounds, and only the
+    # exact comparison puts index 3 first
+    a, b = 1, 0
+    for _ in range(21):
+        a, b = 9 * a + 20 * b, 4 * a + 9 * b
+    assert a * a - 5 * b * b == 1 and b.bit_length() == 86
+    omega = QuadraticNumber(5, a, -b)
+    near, far = Fraction(1, 1000), Fraction(1, 5000)
+    shifts = (far, near, far, near + omega, far, far)
+    sys = cat_map()
+    for j in range(8):
+        x = sys.point(QuadraticNumber(5, 1 + j, 1, 7), Fraction(j, 11))
+        points = [sys.point(fx + s, fy)
+                  for (fx, fy), s in zip((y.coords for y in orbit(sys, x, 5)),
+                                         shifts)]
+        want = _generic_max_deviation(sys, PseudoOrbit(sys, 0, points), x, 0)
+        assert want == near + omega > near
+        assert encode_scalar(sys.max_orbit_deviation(x, points)) == \
+            encode_scalar(want), j
+
+
+def test_integer_lane_bounds_carry_the_sqrt_parts():
+    # a + b*sqrt5 = (2 + sqrt5)^47 has norm -1, so a - b*sqrt5 is about
+    # -2^-98.  With b = |V_A| + |V_B|, the offsets V_A*sqrt5 and
+    # a + V_B*sqrt5 (mod 1) lie at theta and theta + 1/(a + b*sqrt5) from
+    # the lattice, and their 95-bit sqrt5 parts move the fixed-point residues
+    # up to a bound's unit apart in opposite directions: bounds without the
+    # |V| slack put the nearer point first for some splits
+    a, b = 2, 1
+    for _ in range(46):
+        a, b = 2 * a + 5 * b, a + 2 * b
+    assert a * a - 5 * b * b == -1 and b.bit_length() == 96
+    sys = cat_map()
+    origin = sys.point(0, 0)
+    for j in range(-40, 40):
+        va = b // 2 + j
+        ua = isqrt(5 * va * va) + 1  # V_A * sqrt5 + ua = theta in (0, 1)
+        points = [sys.point(QuadraticNumber(5, -ua, va), 0),
+                  sys.point(QuadraticNumber(5, ua - a, b - va), 0)]
+        po = PseudoOrbit(sys, 0, points)
+        near, far = _tracer_deviations(sys, po, origin, 0)
+        if far > near:  # theta < 1/2
+            assert encode_scalar(sys.max_orbit_deviation(origin, points)) \
+                == encode_scalar(far), j
+
+
+def test_integer_lane_rounds_offsets_next_to_one_half():
+    # a + b*sqrt5 = (2 + sqrt5)^35 has norm -1, so the offsets
+    # 1/2 +- (a - b*sqrt5)/2 lie about 2^-74 from 1/2, closer than the
+    # fixed-point bracket of their 71-bit sqrt5 parts can round: their
+    # nearest integers come from the exact floor
+    a, b = 2, 1
+    for _ in range(34):
+        a, b = 2 * a + 5 * b, a + 2 * b
+    assert a * a - 5 * b * b == -1 and b.bit_length() == 71
+    sys = cat_map()
+    origin = sys.point(0, 0)
+    points = [sys.point(QuadraticNumber(5, -1 - s * a, s * b, 2), 0)
+              for s in (1, -1)]
+    walk = _tracer_deviations(sys, PseudoOrbit(sys, 0, points), origin, 0)
+    assert [encode_scalar(d) for d in sys.orbit_deviations(origin, points)] \
+        == [encode_scalar(d) for d in walk]
+    assert encode_scalar(sys.max_orbit_deviation(origin, points)) == \
+        encode_scalar(max_metric(walk))
 
 
 @pytest.mark.parametrize("name", sorted(TORAL_MATRICES))

@@ -157,6 +157,18 @@ def test_rotation_has_no_tracer_to_check():
     assert [r.seed for r in records] == draws(7, 2)
 
 
+def test_rotation_without_delta_has_no_calibration():
+    # the calibration fails inside the error arm, one record per attempt,
+    # with the same seeds as the run that is given its delta
+    records = run("system.kind = rotation\nsystem.angle = 1/3\n"
+                  "check.seed = 7\ncheck.kind = check-shadowing\n"
+                  "check.epsilons = 1/4 1/8\ncheck.count = 2\n")
+    assert [r.witness_payload for r in records] == [
+        {"error": "unsupported-system",
+         "message": "no shadowing calibration for CircleRotation"}] * 4
+    assert [r.seed for r in records] == draws(7, 4)
+
+
 @pytest.mark.parametrize("sys", [
     full_shift(2), cat_map(), CircleRotation(Fraction(1, 3)),
     PermutationSystem([2, 0, 1, 3]),
