@@ -19,8 +19,6 @@ from .codecs import (
     decode_scalar,
     encode_point,
     encode_scalar,
-    format_segments,
-    parse_segments,
 )
 from .config import CHECK_KINDS, RunConfig, parse_config
 from .covers import Cover, build_cover
@@ -29,7 +27,6 @@ from .pseudo_orbits import (
     PseudoOrbit,
     concatenate,
     from_true_orbit,
-    max_metric,
     perturbed_orbit,
 )
 from .reporting import (
@@ -66,7 +63,6 @@ from .specification import (
     SpecificationResult,
     TransitionSchedule,
     check_specification,
-    find_connector,
     specification_point,
     transition_times,
 )

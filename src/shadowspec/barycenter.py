@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
+from math import floor, gcd, lcm, log
 
 from .errors import (
     BudgetExceededError,
@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .pseudo_orbits import deviations, max_deviation, orbit
-from .scalars import SqrtVal
+from .scalars import QuadraticNumber, SqrtVal, _floor_quad
 from .systems import ShiftSpace, SymbolicPoint, ToralAutomorphism, _primitive
 
 PERIOD_BOUND = 8
@@ -206,6 +206,35 @@ class BarycenterWitness:
                 raise ValueError(f"X = {X} outside [0, {self.N}]")
 
 
+def _tail_window(sys, t, eps, backward: bool) -> int:
+    """Least n >= 0 with SqrtVal(bound2 * c2^n) < eps on a toral system.
+
+    bound2 is the squared planar distance at n = 0 of two points t != 0
+    apart on the eigenline (unstable backward, stable forward), and c2 the
+    squared contraction of one step.  ln(bound2 / eps^2) / ln(1/c2) misses
+    the crossing by far less than a step, so the walk up to the least n
+    starts one step below its floor.
+    """
+    sp = sys.hyperbolic_splitting()
+    slope = sp.v_u[1] if backward else sp.v_s[1]
+    contract = (1 / sp.lam_u) if backward else sp.lam_s
+    bound2 = t * t * (1 + slope * slope)
+    c2 = contract * contract
+    n = max(0, floor(_ln(bound2 / (eps * eps)) / -_ln(c2)) - 1)
+    bound = bound2 * c2 ** n
+    while not SqrtVal(bound) < eps:
+        n, bound = n + 1, bound * c2
+    return n
+
+
+def _ln(x: QuadraticNumber) -> float:
+    """ln x for x > 0, taken on integers so that no float underflows."""
+    # |p + q sqrt(D)| >= 1 / |p - q sqrt(D)| (the norm is a nonzero
+    # integer), so scaling by 2^k leaves at least 63 bits in the floor
+    k = 64 + max(abs(x.p), abs(x.q) * x.D).bit_length()
+    return log(_floor_quad(x.D, x.p << k, x.q << k, 1)) - log(x.r << k)
+
+
 def _violation_threshold(sys, z, anchor, eps, backward: bool, tail_data):
     """Least n0 with d(f^(+-n)(z), f^(+-n)(anchor)) < eps for ALL n >= n0.
 
@@ -220,20 +249,7 @@ def _violation_threshold(sys, z, anchor, eps, backward: bool, tail_data):
         while not Fraction(1, 2 ** (window - shift)) < eps:
             window += 1
     else:
-        t = tail_data  # offset along the eigenline through the anchor
-        sp = sys.hyperbolic_splitting()
-        slope = sp.v_u[1] if backward else sp.v_s[1]
-        contract = (1 / sp.lam_u) if backward else sp.lam_s
-        bound2 = t * t * (1 + slope * slope)  # squared planar distance at n=0
-        c2 = contract * contract
-        window = 0
-        while window < 4096:
-            if SqrtVal(bound2) < eps:
-                break
-            bound2 = bound2 * c2
-            window += 1
-        else:
-            raise InternalInvariantError("contraction never beats epsilon")
+        window = _tail_window(sys, tail_data, eps, backward)
     sign = -1 if backward else 1
     devs = deviations(sys, z, orbit(sys, anchor, window, sign), sign)
     return 1 + max((n for n, d in enumerate(devs) if not d < eps), default=-1)

@@ -18,7 +18,7 @@ from .reporting import (
     plot_csv,
     records_to_csv,
     records_to_jsonl,
-    replay_verify_record,
+    replay_verdicts,
 )
 from .runner import run_check
 
@@ -124,21 +124,14 @@ def _run_replay(args) -> int:
         return 3
     try:
         records = jsonl_to_records(text)
-        verdicts = []
-        all_ok = True
-        for i, rec in enumerate(records):
-            if rec.outcome == "pass":
-                ok = replay_verify_record(rec)
-                all_ok = all_ok and ok
-                status = "verified" if ok else "mismatch"
-            else:
-                status = "skipped"
-            verdicts.append(f"{i} {rec.check_kind} {rec.outcome} {status}")
+        verdicts = list(replay_verdicts(records))
     except SchemaMismatchError as exc:
         _fail("schema-mismatch", exc)
         return 2
-    _write("".join(line + "\n" for line in verdicts), args.out)
-    return 0 if all_ok else 1
+    _write("".join(f"{i} {rec.check_kind} {rec.outcome} {verdict}\n"
+                   for i, (rec, verdict) in enumerate(zip(records, verdicts))),
+           args.out)
+    return 1 if "mismatch" in verdicts else 0
 
 
 def main(argv=None) -> int:

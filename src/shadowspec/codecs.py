@@ -115,23 +115,3 @@ def decode_point(sys, text: str):
         return x
     raise TypeError(f"no point decoding for {type(sys).__name__}")
 
-
-def parse_segments(sys, text: str):
-    """Segment lines ``point | n`` into (point, n) pairs; blanks skipped."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        body, bar, count = line.rpartition("|")
-        if bar != "|":
-            raise MalformedPointError(f"segment line needs 'point | n': {raw!r}")
-        n = _int(count.strip())
-        if n < 0:
-            raise MalformedPointError(f"negative segment length: {raw!r}")
-        out.append((decode_point(sys, body), n))
-    return out
-
-
-def format_segments(sys, segments) -> str:
-    return "".join(f"{encode_point(sys, x)} | {n}\n" for x, n in segments)

@@ -31,14 +31,13 @@ CHECK_KINDS = (
 )
 
 _SYSTEM_KEYS = {"kind", "matrix", "transition", "angle", "images"}
-_INT_KEYS = {"seed", "count", "length", "width", "level", "maxSegments",
-             "maxLength", "n1", "n2", "maxDepth", "maxPeriod", "horizon",
-             "budget"}
+_INT_KEYS = {"seed", "count", "length", "width", "maxSegments", "maxLength",
+             "n1", "n2", "maxDepth", "maxPeriod", "horizon"}
 _EXACT_KEYS = {"epsilon", "delta", "epsilonFactor"}
-_TEXT_KEYS = {"kind", "start", "p", "q", "mode", "levels", "epsilons"}
+_TEXT_KEYS = {"kind", "p", "q", "mode", "levels", "epsilons"}
 _CHECK_KEYS = _INT_KEYS | _EXACT_KEYS | _TEXT_KEYS
 _OUTPUT_KEYS = {"format", "path", "plot"}
-_POINT_KEYS = ("start", "p", "q")
+_POINT_KEYS = ("p", "q")
 
 
 @dataclass

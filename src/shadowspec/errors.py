@@ -55,12 +55,6 @@ class HorizonError(ShadowspecError):
     code = "horizon-exceeded"
 
 
-class NoWitnessError(ShadowspecError):
-    """No connecting point exists for the requested cells and step count."""
-
-    code = "no-witness"
-
-
 class EmptyInputError(ShadowspecError):
     """An operation that needs at least one element received none."""
 

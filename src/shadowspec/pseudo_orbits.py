@@ -44,11 +44,6 @@ _FLIP_SPAN = 8
 _INTEGER_LANE = (ToralAutomorphism, CircleRotation)
 
 
-def max_metric(values, zero=Fraction(0)):
-    """Maximum of metric values, or ``zero`` when there are none."""
-    return max(values, default=zero)
-
-
 def orbit(sys, x, n: int, step: int = 1) -> list:
     """The points x, f^step(x), ..., f^(n*step)(x)."""
     pts = [x]
@@ -126,7 +121,7 @@ class PseudoOrbit:
             return sys.max_jump(self.points)
         jumps = [sys.distance(sys.apply(self.points[i]), self.points[i + 1])
                  for i in range(len(self.points) - 1)]
-        return max_metric(jumps)
+        return max(jumps, default=Fraction(0))
 
 
 def from_true_orbit(sys, x, a: int, b: int) -> PseudoOrbit:

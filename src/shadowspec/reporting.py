@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -358,10 +358,15 @@ def replay_verify_record(record: ReportRecord) -> bool:
         return False
 
 
-def replay_verify(records) -> bool:
-    """True iff every pass record re-verifies from its payload.
+def replay_verdicts(records):
+    """Yield each record's replay verdict in turn: "verified" or "mismatch"
+    as a pass record re-verifies from its payload or not, and "skipped" for
+    fail and error records, which carry no positive claim."""
+    for r in records:
+        yield ("skipped" if r.outcome != "pass" else
+               "verified" if replay_verify_record(r) else "mismatch")
 
-    Fail and error records carry no positive claim and are skipped.
-    """
-    return all(replay_verify_record(r) for r in records
-               if r.outcome == "pass")
+
+def replay_verify(records) -> bool:
+    """True iff every pass record re-verifies; stops at the first miss."""
+    return "mismatch" not in replay_verdicts(records)

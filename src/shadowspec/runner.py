@@ -24,7 +24,7 @@ from .barycenter import (
 )
 from .codecs import encode_point, encode_scalar
 from .config import RunConfig
-from .covers import CELL_BUDGET, build_cover
+from .covers import build_cover
 from .errors import ConfigError, ShadowspecError
 from .pseudo_orbits import PseudoOrbit, perturbed_orbit
 from .reporting import ReportRecord, expected_periodic_count, system_digest
@@ -76,7 +76,7 @@ def _parameters(sys, check: dict) -> dict:
     out = {"system": sys.describe()}
     for key in sorted(check):
         value = check[key]
-        if key in ("start", "p", "q"):
+        if key in ("p", "q"):
             out[key] = encode_point(sys, value)
         elif isinstance(value, (int, str)) and not isinstance(value, bool):
             out[key] = value
@@ -165,7 +165,7 @@ def _run_shadowing(sys, check: dict, ctx: _Ctx):
                 npts = sub.randrange(2, check["maxLength"] + 1)
             else:
                 npts = check.get("length", 64)
-            x0 = check["start"] if "start" in check else _random_point(sys, sub)
+            x0 = _random_point(sys, sub)
             orbit_seed = sub.getrandbits(32)
             with ctx.attempt(records, seed_i):
                 if delta is None:  # calibrated once per epsilon, if at all
@@ -231,8 +231,7 @@ def _spec_schedule(sys, eps, n_max: int, check: dict, cache: dict):
             raise hit
         return hit
     try:
-        cover = build_cover(sys, cover_tolerance(sys, eps),
-                            check.get("budget", CELL_BUDGET))
+        cover = build_cover(sys, cover_tolerance(sys, eps))
         schedule = transition_times(sys, cover, n_max,
                                     check.get("horizon", DEFAULT_HORIZON))
     except ShadowspecError as exc:
@@ -243,7 +242,7 @@ def _spec_schedule(sys, eps, n_max: int, check: dict, cache: dict):
 
 
 def _run_spec(sys, check: dict, ctx: _Ctx):
-    levels = check.get("levels") or (check.get("level", 1),)
+    levels = check.get("levels") or (1,)
     max_seg = check.get("maxSegments", 4)
     max_len = check.get("maxLength", 16)
     records = []

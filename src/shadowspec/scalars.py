@@ -83,7 +83,7 @@ class QuadraticNumber:
         if r < 0:
             p, q, r = -p, -q, -r
         if r > 1:  # r == 1 is already reduced
-            g = gcd(gcd(abs(p), abs(q)), r)
+            g = gcd(gcd(r, abs(p)), abs(q))  # r first: often far shorter
             if g > 1:
                 p, q, r = p // g, q // g, r // g
         object.__setattr__(self, "D", D)
@@ -176,8 +176,10 @@ class QuadraticNumber:
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
         result = QuadraticNumber(self.D, 1, 0, 1)
-        for _ in range(abs(exponent)):
-            result = result * base
+        for bit in bin(abs(exponent))[2:]:  # square and multiply
+            result = result * result
+            if bit == "1":
+                result = result * base
         return result
 
     # -- order and equality ----------------------------------------------------
@@ -228,17 +230,6 @@ class QuadraticNumber:
         return hash((self.D, self.p, self.q, self.r))
 
     # -- structure -------------------------------------------------------------
-
-    def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self.D, self.p, -self.q, self.r)
-
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.p, self.r)
 
     def floor(self) -> int:
         return _floor_quad(self.D, self.p, self.q, self.r)
@@ -315,11 +306,6 @@ class SqrtVal:
     def __setattr__(self, name, value):
         raise AttributeError("SqrtVal is immutable")
 
-    @classmethod
-    def of_square(cls, x: ExactScalar) -> "SqrtVal":
-        """sqrt(x^2) = |x| without leaving exact arithmetic."""
-        return cls(x * x)
-
     def _cmp(self, other) -> int:
         if isinstance(other, SqrtVal):
             return scalar_sign(self.radicand - other.radicand)
@@ -358,9 +344,6 @@ class SqrtVal:
         return SqrtVal(self.radicand * other * other)
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return scalar_sign(self.radicand) == 0
 
     def __float__(self):
         rad = self.radicand

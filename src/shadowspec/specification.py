@@ -15,14 +15,13 @@ from math import lcm
 
 import numpy as np
 
-from .covers import CELL_BUDGET, Cover, build_cover
+from .covers import Cover, build_cover
 from .errors import (
     BudgetExceededError,
     EmptyInputError,
     HorizonError,
     InternalInvariantError,
     NotTransitiveError,
-    NoWitnessError,
     UnsupportedSystemError,
 )
 from .pseudo_orbits import concatenate, deviations, orbit
@@ -314,17 +313,6 @@ def transition_times(sys, cover: Cover, n_max: int = DEFAULT_LEVELS,
         f"no schedule construction for {type(sys).__name__}")
 
 
-def find_connector(sys, cover: Cover, schedule: TransitionSchedule,
-                   from_cell: int, to_cell: int, X: int):
-    """A point of ``from_cell`` whose X-step image lies in ``to_cell``."""
-    for n in range(1, schedule.n_levels + 1):
-        if schedule.entry(n, to_cell, from_cell) == X:
-            return schedule.witness(n, to_cell, from_cell)
-    raise NoWitnessError(
-        f"no scheduled level realizes X = {X} for cells "
-        f"{from_cell} -> {to_cell}")
-
-
 @dataclass(frozen=True)
 class SpecificationResult:
     """A tracer visiting every segment with schedule-confined gaps."""
@@ -350,7 +338,6 @@ def cover_tolerance(sys, epsilon):
 
 def specification_point(sys, segments, epsilon, level: int,
                         schedule: TransitionSchedule | None = None, *,
-                        budget: int = CELL_BUDGET,
                         horizon: int = DEFAULT_HORIZON) -> SpecificationResult:
     """A verified tracer whose orbit runs through all given segments.
 
@@ -368,7 +355,7 @@ def specification_point(sys, segments, epsilon, level: int,
     # cover_tolerance refuses a nonpositive epsilon (delta_for_epsilon)
     target = cover_tolerance(sys, epsilon)
     if schedule is None:
-        cover = build_cover(sys, target, budget)
+        cover = build_cover(sys, target)
         schedule = transition_times(sys, cover, max(level, 1), horizon)
     else:
         cover = schedule.cover

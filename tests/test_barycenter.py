@@ -295,6 +295,33 @@ def test_anchor_reads_orbit_off_one_period(case):
         assert _anchor(sys_, p, lo, n) == oracle, (lo, n)
 
 
+def _stepped_window(sys_, t, eps, backward):
+    """The tail window stepped one contraction at a time from n = 0: the
+    oracle for ``_tail_window``."""
+    sp = sys_.hyperbolic_splitting()
+    slope = sp.v_u[1] if backward else sp.v_s[1]
+    contract = (1 / sp.lam_u) if backward else sp.lam_s
+    bound2 = t * t * (1 + slope * slope)
+    window = 0
+    while not SqrtVal(bound2) < eps:
+        bound2 = bound2 * contract * contract
+        window += 1
+    return window
+
+
+@pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((3, 1), (2, 1))])
+@pytest.mark.parametrize("backward", [True, False])
+def test_tail_window_is_the_least_stepped_window(matrix, backward):
+    sys_ = ToralAutomorphism(matrix)  # the cat map (D = 5) and D = 12
+    p = as_periodic(sys_, sys_.point(0, 0))
+    _, t, s = barycenter._heteroclinic_toral(sys_, p, p)
+    offset = t if backward else s
+    for eps in (Fraction(1, 10), Fraction(1, 20), Fraction(3, 10**7),
+                *(Fraction(1, 10**k) for k in (2, 5, 30, 100, 300))):
+        assert barycenter._tail_window(sys_, offset, eps, backward) == \
+            _stepped_window(sys_, offset, eps, backward), eps
+
+
 class TestVerifyBarycenter:
     """Each tracking range of ``verify_barycenter`` can fail on its own."""
 

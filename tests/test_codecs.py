@@ -9,8 +9,6 @@ from shadowspec.codecs import (
     decode_scalar,
     encode_point,
     encode_scalar,
-    format_segments,
-    parse_segments,
 )
 from shadowspec.errors import MalformedPointError
 from shadowspec.scalars import QuadraticNumber, SqrtVal
@@ -172,35 +170,3 @@ def test_unknown_types_have_no_encoding():
         encode_point(object(), 0)
     with pytest.raises(TypeError, match="no point decoding for object"):
         decode_point(object(), "0")
-
-
-# --- segment files ----------------------------------------------------------
-
-def test_segments_round_trip():
-    sys = full_shift(2)
-    segments = [
-        (sys.point_through((0, 1, 1), at=-1), 5),
-        (sys.point_through((1, 0), at=0), 0),
-    ]
-    text = format_segments(sys, segments)
-    assert parse_segments(sys, text) == segments
-
-
-def test_segments_skip_comments_and_blanks():
-    sys = full_shift(2)
-    text = "# leading comment\n\n0~-~0@0 | 3\n  # indented comment\n1~-~1@0 | 0\n"
-    parsed = parse_segments(sys, text)
-    assert len(parsed) == 2
-    assert parsed[0][1] == 3 and parsed[1][1] == 0
-
-
-def test_segments_reject_missing_bar():
-    sys = full_shift(2)
-    with pytest.raises(MalformedPointError):
-        parse_segments(sys, "0~-~0@0 3\n")
-
-
-def test_segments_reject_negative_length():
-    sys = full_shift(2)
-    with pytest.raises(MalformedPointError):
-        parse_segments(sys, "0~-~0@0 | -1\n")

@@ -130,6 +130,13 @@ def test_unknown_key():
     assert e.code == "config-unknown-key" and e.line == 3
 
 
+@pytest.mark.parametrize("line", ["check.level = 2", "check.budget = 64",
+                                  "check.start = 0~-~0@0"])
+def test_retired_check_keys_rejected(line):
+    e = err(f"system.kind = sft\nsystem.transition = 11;11\n{line}\n")
+    assert e.code == "config-unknown-key" and e.line == 3
+
+
 def test_system_mode_key_rejected():
     e = err("system.kind = toral\nsystem.matrix = 2 1 ; 1 1\nsystem.mode = float\n")
     assert e.code == "config-unknown-key" and e.line == 3

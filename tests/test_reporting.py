@@ -20,7 +20,6 @@ from shadowspec.pseudo_orbits import (
     PseudoOrbit,
     from_true_orbit,
     max_deviation,
-    max_metric,
     orbit,
     perturbed_orbit,
 )
@@ -33,6 +32,7 @@ from shadowspec.reporting import (
     plot_csv,
     records_to_csv,
     records_to_jsonl,
+    replay_verdicts,
     replay_verify,
     replay_verify_record,
     system_digest,
@@ -209,6 +209,19 @@ def test_replay_rejects_tampered_payload(shadow_records):
     assert not replay_verify([forged])
 
 
+def test_replay_verify_stops_at_the_first_mismatch(shadow_records):
+    rec = shadow_records[0]
+    forged = dataclasses.replace(
+        rec, witness_payload={**rec.witness_payload, "maxDeviation": "1"})
+    unreadable = dataclasses.replace(rec, system_digest="0" * 64)
+    assert not replay_verify([forged, unreadable])
+    with pytest.raises(SchemaMismatchError):
+        replay_verify([unreadable, forged])
+    failed = dataclasses.replace(rec, outcome="fail")
+    assert list(replay_verdicts([rec, forged, failed])) == \
+        ["verified", "mismatch", "skipped"]
+
+
 def test_replay_rejects_foreign_digest(shadow_records):
     forged = dataclasses.replace(shadow_records[0], system_digest="0" * 64)
     with pytest.raises(SchemaMismatchError):
@@ -285,8 +298,8 @@ TORAL_MATRICES = {
 
 
 def _generic_gap(sys, points):
-    return max_metric(sys.distance(sys.apply(y), z)
-                      for y, z in zip(points, points[1:]))
+    return max((sys.distance(sys.apply(y), z)
+                for y, z in zip(points, points[1:])), default=Fraction(0))
 
 
 def _tracer_deviations(sys, po, tracer, start):
@@ -303,7 +316,7 @@ def _tracer_deviations(sys, po, tracer, start):
 
 
 def _generic_max_deviation(sys, po, tracer, start):
-    return max_metric(_tracer_deviations(sys, po, tracer, start))
+    return max(_tracer_deviations(sys, po, tracer, start))
 
 
 def _lane_max_deviation(sys, po, tracer, start):
@@ -410,7 +423,7 @@ def test_integer_lane_rounds_offsets_next_to_one_half():
     assert [encode_scalar(d) for d in sys.orbit_deviations(origin, points)] \
         == [encode_scalar(d) for d in walk]
     assert encode_scalar(sys.max_orbit_deviation(origin, points)) == \
-        encode_scalar(max_metric(walk))
+        encode_scalar(max(walk))
 
 
 @pytest.mark.parametrize("name", sorted(TORAL_MATRICES))

@@ -131,6 +131,14 @@ def test_diagonal_transition_time_must_fit_below_the_threshold():
                               "(0, 0) does not fit below M_1 = 13"})]
 
 
+@pytest.mark.parametrize("levels", ["", "check.levels =\n"])
+def test_spec_levels_default_to_one(levels):
+    records = run(SHIFT + "check.kind = spec\ncheck.epsilon = 1/2\n"
+                  "check.count = 3\n" + levels)
+    assert [(r.outcome, r.witness_payload["level"]) for r in records] == \
+        [("pass", 1)] * 3
+
+
 def test_failed_schedule_is_built_once(monkeypatch):
     calls = []
     real = runner.build_cover

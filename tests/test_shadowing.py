@@ -14,7 +14,6 @@ from shadowspec.errors import (
 from shadowspec.pseudo_orbits import (
     PseudoOrbit,
     from_true_orbit,
-    max_metric,
     perturbed_orbit,
 )
 from shadowspec.scalars import QuadraticNumber
@@ -171,7 +170,7 @@ def _oracle(sys_, po, epsilon):
     devs = tuple(sys_.distance(sys_.point(*z), y)
                  for z, y in zip(zs, po.points))
     assert sys_.apply(tracer, m - 1) == sys_.point(*zs[-1])
-    mx = max_metric(devs)
+    mx = max(devs)
     assert mx < eps
     return tracer, mx, devs, max(abs(c) for corr in corrs for c in corr)
 
@@ -298,7 +297,7 @@ class TestShadowToral:
         for d, y in zip(devs, po.points):
             assert sys_.distance(cur, y) == d
             cur = sys_.apply(cur)  # z_{n+1} = A z_n, nothing else
-        assert max_metric(devs) == res.max_deviation
+        assert max(devs) == res.max_deviation
         assert res.per_index_deviations is devs  # computed once, then kept
 
     def test_gap_above_delta_rejected(self):

@@ -12,13 +12,11 @@ from shadowspec.errors import (
     EmptyInputError,
     HorizonError,
     NotTransitiveError,
-    NoWitnessError,
 )
 from shadowspec.shadowing import delta_for_epsilon
 from shadowspec.specification import (
     _cell_lane,
     check_specification,
-    find_connector,
     specification_point,
     transition_times,
 )
@@ -135,12 +133,12 @@ def test_connector_full_shift_frozen_example():
     cover, sched = build(fs, Fraction(3, 4))
     i1 = cover._index[(0, 0, 0)]
     j0 = cover._index[(1, 1, 1)]
-    y = find_connector(fs, cover, sched, i1, j0, 3)
+    # level 1 connects cell i1 to cell j0 in 3 steps, level 2 in 4
+    assert [sched.entry(n, j0, i1) for n in (1, 2)] == [3, 4]
+    y = sched.witness(1, j0, i1)
     assert cover.cells[i1].contains(y)
     assert cover.cells[j0].contains(fs.apply(y, 3))
     assert y.window(-1, 4) == (0, 0, 0, 1, 1, 1)
-    with pytest.raises(NoWitnessError):
-        find_connector(fs, cover, sched, i1, j0, 12)
 
 
 def test_toral_uniform_schedule_and_replay():

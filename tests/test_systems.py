@@ -259,7 +259,7 @@ def test_toral_distance_is_a_metric(ax, ay, bx, by):
     b = sys_.point(bx, by)
     d = sys_.distance(a, b)
     assert d == sys_.distance(b, a)
-    assert d.is_zero() == (a == b)
+    assert (d == 0) == (a == b)
     assert d <= SqrtVal(Fraction(1, 2))  # half-diagonal bounds the torus metric
 
 

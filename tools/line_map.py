@@ -1,9 +1,18 @@
-"""Print the executable lines of ``src/shadowspec`` that no test reaches.
+"""Map what in ``src/shadowspec`` tests reach, and what shipped runs reach.
 
-Runs ``pytest tests/`` in this process under ``sys.settrace`` and compares
-the lines that ran with each module's executable lines, read from its
-compiled code objects (``co_lines()``, nested code included).  Prints one
-line per module with its unreached line numbers, then the total.
+Two sections, both always printed:
+
+1. Lines no test reaches.  Runs ``pytest tests/`` in this process under
+   ``sys.settrace`` and compares the lines that ran with each module's
+   executable lines, read from its compiled code objects (``co_lines()``,
+   nested code included).  One line per module with its unreached line
+   numbers, then the total.
+2. Functions no shipped run reaches.  Runs the CLI run and then the CLI
+   replay of every config in ``configs/``, writing to a temporary directory,
+   under a call tracer, and lists per module the named functions (methods and
+   nested functions included) whose code never started.  Each of them
+   should be a documented entry point in README's table, or kept for a
+   stated reason (a test oracle, an error path, a value-type method).
 
     python tools/line_map.py [extra pytest arguments]
 
@@ -14,24 +23,92 @@ is printed whatever pytest's exit code is.
 
 from __future__ import annotations
 
+import inspect
 import os
 import sys
+import tempfile
 import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "shadowspec")
+CONFIGS = os.path.join(ROOT, "configs")
+
+
+def _code_objects(path: str):
+    """Every code object compiled from the module at ``path``."""
+    with open(path, encoding="utf-8") as handle:
+        stack = [compile(handle.read(), path, "exec")]
+    while stack:
+        co = stack.pop()
+        yield co
+        stack.extend(c for c in co.co_consts if inspect.iscode(c))
 
 
 def executable_lines(path: str) -> set:
     """Line numbers that carry bytecode in the module at ``path``."""
-    with open(path, encoding="utf-8") as handle:
-        code = compile(handle.read(), path, "exec")
-    lines, stack = set(), [code]
-    while stack:
-        co = stack.pop()
-        lines.update(line for _, _, line in co.co_lines() if line is not None)
-        stack.extend(c for c in co.co_consts if hasattr(c, "co_lines"))
-    return lines
+    return {line for co in _code_objects(path)
+            for _, _, line in co.co_lines() if line is not None}
+
+
+def _is_function(co) -> bool:
+    # named functions and methods; not module or class bodies, lambdas or
+    # comprehensions, which run or not with the code around them
+    return bool(co.co_flags & inspect.CO_OPTIMIZED) \
+        and not co.co_name.startswith("<")
+
+
+def unreached_functions(directory: str, run) -> dict:
+    """{module file name: qualified names of functions ``run()`` never calls}.
+
+    Only the ``.py`` files directly in ``directory`` are mapped.  A function
+    is keyed by its name and first line, which a decorator does not move.
+    """
+    reached = set()
+    prefix = os.path.join(directory, "")
+
+    def tracer(frame, event, arg):
+        co = frame.f_code
+        if co.co_filename.startswith(prefix):
+            reached.add((co.co_filename, co.co_firstlineno, co.co_name))
+        return None
+
+    outer = sys.gettrace(), threading.gettrace()  # the line map's, if any
+    threading.settrace(tracer)
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(outer[0])
+        threading.settrace(outer[1])
+
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(directory, name)
+        out[name] = sorted(
+            (co.co_firstlineno, getattr(co, "co_qualname", co.co_name))
+            for co in _code_objects(path)
+            if _is_function(co)
+            and (path, co.co_firstlineno, co.co_name) not in reached)
+    return out
+
+
+def run_configs() -> None:
+    """The CLI run and replay of every shipped config, into a scratch directory."""
+    from shadowspec.cli import main as cli
+    from shadowspec.config import parse_config
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in sorted(os.listdir(CONFIGS)):
+            if not name.endswith(".cfg"):
+                continue
+            path = os.path.join(CONFIGS, name)
+            with open(path, encoding="utf-8") as handle:
+                kind = parse_config(handle.read()).check["kind"]
+            report = os.path.join(scratch, name + ".jsonl")
+            cli([kind, "--config", path, "--out", report])
+            cli(["replay", report, "--out", report + ".verdicts"])
 
 
 def _ranges(lines) -> str:
@@ -73,6 +150,7 @@ def main(argv: list) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    print("lines no test reaches:")
     total = 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
@@ -82,6 +160,14 @@ def main(argv: list) -> int:
         total += len(missed)
         print(f"{name}: {len(missed)}" + (f"  {_ranges(missed)}" if missed else ""))
     print(f"total unreached: {total} (pytest exit code {int(status)})")
+
+    print("functions no shipped config's run or replay reaches:")
+    unreached = unreached_functions(PACKAGE, run_configs)
+    for name, functions in unreached.items():
+        print(f"{name}: {len(functions)}"
+              + "".join(f"\n  {line} {qualname}" for line, qualname in functions))
+    print(f"total unreached functions: "
+          f"{sum(len(f) for f in unreached.values())}")
     return 0
 
 
