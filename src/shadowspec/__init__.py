@@ -1,6 +1,6 @@
-"""Exact shadowing, specification, and heteroclinic tooling for four model
+"""Exact shadowing, specification, and heteroclinic tooling for three model
 dynamical systems (subshifts of finite type, hyperbolic toral automorphisms,
-circle rotations, finite permutations)."""
+circle rotations)."""
 
 from .barycenter import (
     BarycenterResult,

@@ -4,7 +4,6 @@ Formats (one per system family):
   sft point      left~core~right@offset, each part a digit string, "-" empty
   toral          one a+b√D literal per coordinate, comma separated
   rotation       p/q
-  permutation    integer
 
 Scalars round-trip through a small tagged grammar: rationals as p/q or
 decimals, field elements as a+b√D, and square roots as sqrt(<radicand>).
@@ -24,7 +23,6 @@ from .scalars import (
 )
 from .systems import (
     CircleRotation,
-    PermutationSystem,
     ShiftSpace,
     SymbolicPoint,
     ToralAutomorphism,
@@ -78,8 +76,6 @@ def encode_point(sys, point) -> str:
         return ",".join(encode_scalar(c) for c in point.coords)
     if isinstance(sys, CircleRotation):
         return format_exact(point)
-    if isinstance(sys, PermutationSystem):
-        return str(point)
     raise TypeError(f"no point encoding for {type(sys).__name__}")
 
 
@@ -107,10 +103,6 @@ def decode_point(sys, text: str):
             x = parse_exact(text) % 1
         except ValueError as exc:
             raise MalformedPointError(str(exc)) from None
-        sys.validate_point(x)
-        return x
-    if isinstance(sys, PermutationSystem):
-        x = _int(text)
         sys.validate_point(x)
         return x
     raise TypeError(f"no point decoding for {type(sys).__name__}")

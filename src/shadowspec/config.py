@@ -16,7 +16,6 @@ from .errors import ConfigError, ShadowspecError
 from .scalars import parse_exact
 from .systems import (
     CircleRotation,
-    PermutationSystem,
     ShiftSpace,
     ToralAutomorphism,
 )
@@ -30,7 +29,7 @@ CHECK_KINDS = (
     "falsify-shadowing",
 )
 
-_SYSTEM_KEYS = {"kind", "matrix", "transition", "angle", "images"}
+_SYSTEM_KEYS = {"kind", "matrix", "transition", "angle"}
 _INT_KEYS = {"seed", "count", "length", "width", "maxSegments", "maxLength",
              "n1", "n2", "maxDepth", "maxPeriod", "horizon"}
 _EXACT_KEYS = {"epsilon", "delta", "epsilonFactor"}
@@ -93,10 +92,6 @@ def _build_system(entries: dict, lines: dict):
             if "angle" not in entries:
                 raise ConfigError("config-invariant", _line("kind"), "rotations need system.angle")
             return CircleRotation(parse_exact(entries["angle"]))
-        if kind == "permutation":
-            if "images" not in entries:
-                raise ConfigError("config-invariant", _line("kind"), "permutations need system.images")
-            return PermutationSystem([int(v) for v in entries["images"].split()])
     except ConfigError:
         raise
     except (ValueError, ShadowspecError) as exc:

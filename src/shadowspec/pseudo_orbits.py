@@ -23,7 +23,6 @@ from .errors import CalibrationError, UnsupportedSystemError
 from .scalars import QuadraticNumber, _floor_quad
 from .systems import (
     CircleRotation,
-    PermutationSystem,
     ShiftSpace,
     SymbolicPoint,
     ToralAutomorphism,
@@ -206,14 +205,6 @@ def _perturb_sft(sys: ShiftSpace, po: PseudoOrbit, delta, rng):
     return PseudoOrbit(sys, po.start, out)
 
 
-def _perturb_permutation(sys: PermutationSystem, po: PseudoOrbit, delta, rng):
-    # Below the discrete metric's resolution no point can move at all.
-    if delta < 1:
-        return po
-    pts = [rng.randrange(sys.size) for _ in po.points]
-    return PseudoOrbit(sys, po.start, pts)
-
-
 def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
     # Each point moves by at most h per coordinate; a jump then grows by at
     # most sqrt(2) * h * (|A|_inf + 1) < delta.  Point n of the true orbit is
@@ -270,8 +261,6 @@ def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:
         perturb = _perturb_rotation
     elif isinstance(sys, ShiftSpace):
         perturb = _perturb_sft
-    elif isinstance(sys, PermutationSystem):
-        perturb = _perturb_permutation
     else:
         raise UnsupportedSystemError(
             f"perturbation is not defined for {type(sys).__name__}")

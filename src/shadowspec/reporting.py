@@ -26,12 +26,7 @@ from .pseudo_orbits import (PseudoOrbit, drift_orbit, max_deviation,
                             perturbed_orbit)
 from .scalars import parse_exact
 from .specification import check_specification
-from .systems import (
-    CircleRotation,
-    PermutationSystem,
-    ShiftSpace,
-    ToralAutomorphism,
-)
+from .systems import CircleRotation, ShiftSpace, ToralAutomorphism
 
 SCHEMA_VERSION = 1
 
@@ -63,8 +58,6 @@ def system_from_description(text: str):
             return ToralAutomorphism(rows)
         if kind == "rotation":
             return CircleRotation(parse_exact(rest.partition("=")[2]))
-        if kind == "permutation":
-            return PermutationSystem([int(v) for v in rest.split()])
     except (AttributeError, KeyError, ValueError) as exc:
         raise SchemaMismatchError(f"bad system description {text!r}: {exc}")
     raise SchemaMismatchError(f"unknown system kind in {text!r}")
@@ -225,6 +218,8 @@ def _replay_spec(sys, payload: dict) -> bool:
         return False
     segments = [(decode_point(sys, t), int(n))
                 for t, n in payload["segments"]]
+    if len(payload["switchTimes"]) != len(segments):  # one per segment
+        return False
     ok, _, devs = check_specification(
         sys, decode_point(sys, payload["tracer"]),
         tuple(payload["switchTimes"]), payload["period"], segments,
@@ -297,24 +292,19 @@ def _replay_falsify(sys, payload: dict) -> bool:
     if payload["status"] != "certified" or not po.gap <= delta:
         return False
     cert = payload["certificate"]
-    if "gridSize" in cert:
-        grid = cert["gridSize"]
-        threshold = decode_scalar(cert["threshold"])
-        stored = [decode_scalar(t) for t in cert["gridMaxDeviations"]]
-        # every point lies within 1/(2*grid) of a grid point, and rotation
-        # is an isometry, so the grid orbits must miss by that much more
-        if len(stored) != grid or grid < 1 or \
-                not threshold >= eps + Fraction(1, 2 * grid):
-            return False
-        devs = [max_deviation(sys, Fraction(g, grid), po.points)
-                for g in range(grid)]
-        return devs == stored and min(devs) >= threshold
-    if cert.get("exhaustive"):
-        if cert["candidates"] != sys.size:
-            return False
-        best = min(max_deviation(sys, x, po.points) for x in range(sys.size))
-        return best >= eps and encode_scalar(best) == cert["minMaxDeviation"]
-    return False
+    if "gridSize" not in cert:
+        return False
+    grid = cert["gridSize"]
+    threshold = decode_scalar(cert["threshold"])
+    stored = [decode_scalar(t) for t in cert["gridMaxDeviations"]]
+    # every point lies within 1/(2*grid) of a grid point, and rotation is an
+    # isometry, so the grid orbits must miss by that much more
+    if len(stored) != grid or grid < 1 or \
+            not threshold >= eps + Fraction(1, 2 * grid):
+        return False
+    devs = [max_deviation(sys, Fraction(g, grid), po.points)
+            for g in range(grid)]
+    return devs == stored and min(devs) >= threshold
 
 
 _REPLAYERS = {

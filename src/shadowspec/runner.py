@@ -35,7 +35,7 @@ from .specification import (
     specification_point,
     transition_times,
 )
-from .systems import CircleRotation, ShiftSpace, ToralAutomorphism
+from .systems import ShiftSpace, ToralAutomorphism
 
 
 @dataclass
@@ -99,9 +99,8 @@ def _random_point(sys, rng: random.Random):
         den = 1 << 12
         return sys.point(Fraction(rng.randrange(den), den),
                          Fraction(rng.randrange(den), den))
-    if isinstance(sys, CircleRotation):
-        return Fraction(rng.randrange(1 << 16), 1 << 16)
-    return rng.randrange(sys.size)  # a permutation, the last family
+    # a rotation, the last family
+    return Fraction(rng.randrange(1 << 16), 1 << 16)
 
 
 def _epsilon_list(check: dict):
@@ -365,18 +364,6 @@ def _run_periodic(sys, check: dict, ctx: _Ctx):
     return records
 
 
-def _falsify_po_spec(sys, result, horizon: int) -> dict:
-    if isinstance(sys, CircleRotation):
-        return {"kind": "drift",
-                "y0": encode_scalar(result.pseudo_orbit.points[0]),
-                "delta": encode_scalar(result.delta),
-                "length": horizon}
-    start = result.pseudo_orbit.index_range[0]
-    return {"kind": "explicit", "start": start,
-            "points": [encode_point(sys, y)
-                       for y in result.pseudo_orbit.points]}
-
-
 def _run_falsify(sys, check: dict, ctx: _Ctx):
     if "epsilon" not in check:
         raise ConfigError("config-invariant", 0, "falsification needs epsilon")
@@ -391,7 +378,10 @@ def _run_falsify(sys, check: dict, ctx: _Ctx):
                 "status": result.status,
                 "epsilon": encode_scalar(result.epsilon),
                 "delta": encode_scalar(result.delta),
-                "pseudoOrbit": _falsify_po_spec(sys, result, horizon),
+                "pseudoOrbit": {
+                    "kind": "drift",
+                    "y0": encode_scalar(result.pseudo_orbit.points[0]),
+                    "delta": encode_scalar(result.delta), "length": horizon},
             }
             if result.certificate is not None:
                 payload["certificate"] = {
@@ -399,8 +389,6 @@ def _run_falsify(sys, check: dict, ctx: _Ctx):
                     else [encode_scalar(d) for d in value]
                     if isinstance(value, tuple) else encode_scalar(value)
                     for key, value in result.certificate.items()}
-            if result.tracer is not None:
-                payload["tracer"] = encode_point(sys, result.tracer)
             outcome = "pass" if result.status == "certified" else "fail"
             records.append(ctx.record(outcome, payload, seed_i))
     return records

@@ -25,15 +25,13 @@ from .errors import (
 from .scalars import QuadraticNumber, SqrtVal, _floor_quad, rational_below_sqrt
 from .systems import (
     CircleRotation,
-    PermutationSystem,
     ShiftSpace,
     SymbolicPoint,
     ToralAutomorphism,
     _max_pair,
     _pair_mul,
 )
-from .pseudo_orbits import (PseudoOrbit, deviations, drift_orbit,
-                           from_true_orbit, max_deviation, perturbed_orbit)
+from .pseudo_orbits import PseudoOrbit, deviations, drift_orbit, max_deviation
 
 
 def _expansion_constant(sys: ToralAutomorphism):
@@ -240,8 +238,7 @@ class FalsificationResult:
     """Outcome of a falsification attempt.
 
     status is "certified" when no point epsilon-traces the produced
-    pseudo-orbit (with a finite certificate), else "not-found" with the
-    tracer that defeated the attempt.
+    pseudo-orbit (with a finite certificate), else "not-found".
     """
 
     status: str
@@ -249,13 +246,25 @@ class FalsificationResult:
     epsilon: object
     delta: object
     certificate: dict | None
-    tracer: object | None
 
 
-def _falsify_rotation(sys: CircleRotation, epsilon, horizon, rng, delta):
+def falsify_shadowing(sys, epsilon, horizon: int, seed: int,
+                      delta=None) -> FalsificationResult:
+    """Search for a pseudo-orbit no point can epsilon-trace.
+
+    Only rotations are searched: a constant drift accumulates while every
+    true orbit is rigid, and a grid certificate verifies that no starting
+    point keeps up.  The hyperbolic shifts and tori have the shadowing
+    property, so no search there can succeed, and they are refused.
+    """
+    if not isinstance(sys, CircleRotation):
+        raise UnsupportedSystemError(
+            f"falsification is not defined for {type(sys).__name__}")
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
     eps = Fraction(epsilon)
     delta = Fraction(delta) if delta is not None else Fraction(1, horizon)
-    y0 = Fraction(rng.randrange(1 << 16), 1 << 16)
+    y0 = Fraction(random.Random(seed).randrange(1 << 16), 1 << 16)
     po = drift_orbit(sys, y0, delta, horizon)
     # Candidate tracers on a grid of pitch <= eps/4: any point sits within
     # eps/8 of a grid point and rotation is an isometry, so if every grid
@@ -267,77 +276,5 @@ def _falsify_rotation(sys: CircleRotation, epsilon, horizon, rng, delta):
     if min(maxdevs) >= threshold:
         cert = {"gridSize": grid, "threshold": threshold,
                 "gridMaxDeviations": tuple(maxdevs)}
-        return FalsificationResult("certified", po, eps, delta, cert, None)
-    return FalsificationResult("not-found", po, eps, delta, None, None)
-
-
-def _falsify_permutation(sys: PermutationSystem, epsilon, horizon, rng, delta):
-    eps = Fraction(epsilon)
-    delta = Fraction(delta) if delta is not None else min(eps, Fraction(1)) / 2
-    length = min(horizon, 4 * sys.size + 8)
-    if delta < 1:
-        po = from_true_orbit(sys, rng.randrange(sys.size), 0, length)
-    else:
-        po = PseudoOrbit(sys, 0,
-                         [rng.randrange(sys.size) for _ in range(length + 1)])
-    best = None
-    for x in range(sys.size):
-        dev = max_deviation(sys, x, po.points)
-        if dev < eps:
-            return FalsificationResult("not-found", po, eps, delta, None, x)
-        if best is None or dev < best:
-            best = dev
-    cert = {"exhaustive": True, "candidates": sys.size,
-            "minMaxDeviation": best}
-    return FalsificationResult("certified", po, eps, delta, cert, None)
-
-
-def _rational_below(value, bits: int = 40) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction((value * 2**bits).floor(), 2**bits)
-
-
-def _falsify_hyperbolic(sys, epsilon, horizon, rng, delta):
-    # Expansive systems with the tracing property: any honest attempt is
-    # defeated by the tracer itself, which is the certificate of failure.
-    calib = delta_for_epsilon(sys, epsilon)
-    delta = delta if delta is not None else _rational_below(calib)
-    length = min(horizon, 128)
-    if isinstance(sys, ShiftSpace):
-        word = [rng.randrange(sys.alphabet_size)]
-        for _ in range(16):
-            succ = sys.successors(word[-1])
-            word.append(succ[rng.randrange(len(succ))])
-        base = sys.point_through(tuple(word), at=-8)
-    else:
-        den = 1 << 12
-        base = sys.point(Fraction(rng.randrange(den), den),
-                         Fraction(rng.randrange(den), den))
-    po = perturbed_orbit(sys, base, 0, length, delta, rng.getrandbits(32))
-    result = shadow(sys, po, epsilon)
-    return FalsificationResult("not-found", po, result.epsilon_used,
-                               delta, None, result.tracer)
-
-
-def falsify_shadowing(sys, epsilon, horizon: int, seed: int,
-                      delta=None) -> FalsificationResult:
-    """Search for a pseudo-orbit no point can epsilon-trace.
-
-    Rotations defeat tracing outright: a constant drift accumulates while
-    every true orbit is rigid, and a grid certificate verifies that no
-    starting point keeps up.  The expansive systems always trace, and the
-    discrete system traces trivially below metric resolution, so there the
-    search reports not-found with the defeating tracer.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    rng = random.Random(seed)
-    if isinstance(sys, CircleRotation):
-        return _falsify_rotation(sys, epsilon, horizon, rng, delta)
-    if isinstance(sys, PermutationSystem):
-        return _falsify_permutation(sys, epsilon, horizon, rng, delta)
-    if isinstance(sys, (ShiftSpace, ToralAutomorphism)):
-        return _falsify_hyperbolic(sys, epsilon, horizon, rng, delta)
-    raise UnsupportedSystemError(
-        f"falsification is not defined for {type(sys).__name__}")
+        return FalsificationResult("certified", po, eps, delta, cert)
+    return FalsificationResult("not-found", po, eps, delta, None)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .covers import Cover, build_cover
 from .errors import (
     BudgetExceededError,
@@ -32,7 +30,6 @@ from .systems import ShiftSpace, ToralAutomorphism
 DEFAULT_LEVELS = 4
 DEFAULT_HORIZON = 100_000
 _SWEEP_CAP = 1 << 24
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ def _toral_sweep(sys: ToralAutomorphism, cover: Cover, X: int):
     """Verified witnesses of the base box reaching every cell in X steps.
 
     Trial points sit on the unstable strand through the base box; a float
-    raster proposes one candidate k per cell, and the candidates are
+    raster proposes the first k landing in each cell, and the candidates are
     verified in exact arithmetic, earliest first, before they count: the
     image of candidate k is affine in k, so ``_cell_lane`` gives its cell
     by one isqrt per coordinate.  Returns None when some cell stays
@@ -243,22 +240,27 @@ def _toral_sweep(sys: ToralAutomorphism, cover: Cover, X: int):
     if k_count > _SWEEP_CAP:
         raise BudgetExceededError(
             f"strand sweep at X = {X} needs {k_count} samples")
+    # The samples lie on a segment of the image strand, which meets at most
+    # per * t_max * (|dx| + |dy|) + 3 cells; witnesses are keyed by the
+    # cells of the samples, so below per^2 cells no density of samples can
+    # reach them all.
+    if (abs(img_dx) + abs(img_dy)) * t_max * per + 3 < per * per:
+        return None, y0
     step = t_max / k_count
     fdx, fdy = float(img_dx) * float(step), float(img_dy) * float(step)
     fbx, fby = float(base_x), float(base_y)
 
+    cells, last = per * per, per - 1
     candidates = {}
-    for lo in range(0, k_count, _CHUNK):
-        ks = np.arange(lo, min(lo + _CHUNK, k_count), dtype=np.float64)
-        fx = (ks * fdx + fbx) % 1.0
-        fy = (ks * fdy + fby) % 1.0
-        flat = (np.clip((fx * per).astype(np.int64), 0, per - 1) * per
-                + np.clip((fy * per).astype(np.int64), 0, per - 1))
-        uniq, idx = np.unique(flat, return_index=True)
-        for cell, k in zip(uniq.tolist(), (idx + lo).tolist()):
-            if cell not in candidates:
-                candidates[cell] = k
-    if len(candidates) < per * per:
+    for k in range(k_count):
+        cx = int((k * fdx + fbx) % 1.0 * per)
+        cy = int((k * fdy + fby) % 1.0 * per)
+        cell = (cx if cx < per else last) * per + (cy if cy < per else last)
+        if cell not in candidates:
+            candidates[cell] = k
+            if len(candidates) == cells:
+                break
+    else:
         return None, y0
 
     col_x = _cell_lane(sys.D, per, base_x, img_dx * step)

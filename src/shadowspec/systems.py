@@ -746,7 +746,11 @@ class CircleRotation:
 
 
 class PermutationSystem:
-    """A permutation of m >= 1 points with the discrete 0/1 metric."""
+    """A permutation of m >= 1 points with the discrete 0/1 metric.
+
+    Every map of a finite discrete space shadows, so no check, config or
+    point codec takes this family; it is a plain value type.
+    """
 
     kind = "permutation"
 

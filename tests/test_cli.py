@@ -19,12 +19,14 @@ PASS_CFG = (
     "check.seed = 5\n"
 )
 
+# 8 steps of drift 1/1000 stay within eps/8 of a grid orbit: not-found
 FAIL_CFG = (
-    "system.kind = sft\n"
-    "system.transition = 11;11\n"
+    "system.kind = rotation\n"
+    "system.angle = 377/610\n"
     "check.kind = falsify-shadowing\n"
     "check.epsilon = 1/4\n"
-    "check.horizon = 40\n"
+    "check.delta = 1/1000\n"
+    "check.horizon = 8\n"
     "check.seed = 7\n"
 )
 
@@ -75,6 +77,17 @@ def test_failing_search_exits_one(tmp_path, capsys):
     assert code == 1
     assert records[0].outcome == "fail"
     assert records[0].witness_payload["status"] == "not-found"
+
+
+def test_falsify_on_a_torus_is_an_error_record(tmp_path, capsys):
+    text = ("system.kind = toral\nsystem.matrix = 2 1 ; 1 1\n"
+            "check.kind = falsify-shadowing\ncheck.epsilon = 1/8\n")
+    code = main(["falsify-shadowing", "--config", cfg_file(tmp_path, text)])
+    (record,) = jsonl_to_records(capsys.readouterr().out)
+    assert code == 2
+    assert (record.outcome, record.witness_payload) == ("error", {
+        "error": "unsupported-system",
+        "message": "falsification is not defined for ToralAutomorphism"})
 
 
 def test_error_record_exits_two(tmp_path, capsys):

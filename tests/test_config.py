@@ -8,7 +8,6 @@ from shadowspec.config import parse_config
 from shadowspec.errors import ConfigError
 from shadowspec.systems import (
     CircleRotation,
-    PermutationSystem,
     ShiftSpace,
     ToralAutomorphism,
 )
@@ -43,9 +42,13 @@ def test_rotation_and_permutation_blocks():
     rot = parse_config("system.kind = rotation\nsystem.angle = 377/610\n")
     assert isinstance(rot.system, CircleRotation)
     assert rot.system.angle == Fraction(377, 610)
-    perm = parse_config("system.kind = permutation\nsystem.images = 2 0 1\n")
-    assert isinstance(perm.system, PermutationSystem)
-    assert perm.system.images == (2, 0, 1)
+    # permutations shadow trivially, so no config builds one
+    e = err("system.kind = permutation\n")
+    assert (e.code, e.line) == ("config-invalid-value", 1)
+    assert str(e) == "line 1: unknown system kind 'permutation'"
+    e = err("system.kind = rotation\nsystem.images = 2 0 1\n")
+    assert (e.code, e.line) == ("config-unknown-key", 2)
+    assert str(e) == "line 2: unknown key system.images"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -181,7 +184,6 @@ def test_missing_transition():
 @pytest.mark.parametrize("kind, message", [
     ("toral", "toral systems need system.matrix"),
     ("rotation", "rotations need system.angle"),
-    ("permutation", "permutations need system.images"),
 ])
 def test_missing_system_parameter(kind, message):
     e = err(f"# {kind}\nsystem.kind = {kind}\n")

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowspec.codecs import encode_point, encode_scalar
-from shadowspec.errors import CalibrationError, MalformedPointError
+from shadowspec.errors import (
+    CalibrationError,
+    MalformedPointError,
+    UnsupportedSystemError,
+)
 from shadowspec.pseudo_orbits import (
     _FLIP_SPAN,
     PseudoOrbit,
@@ -86,9 +90,13 @@ class TestPerturb:
         rot = CircleRotation(Fraction(2, 7))
         po = perturbed_orbit(rot, Fraction(0), 0, 20, Fraction(1, 50), 5)
         assert po.gap <= Fraction(1, 50)
+        # a permutation has no perturbation: every map of a finite
+        # discrete space shadows, so no check takes the family
         perm = PermutationSystem([1, 2, 0])
-        quiet = perturbed_orbit(perm, 0, 0, 10, Fraction(1, 2), 5)
-        assert quiet.gap == 0  # below metric resolution nothing moves
+        with pytest.raises(UnsupportedSystemError,
+                           match="perturbation is not defined for "
+                                 "PermutationSystem"):
+            perturbed_orbit(perm, 0, 0, 10, Fraction(1, 2), 5)
 
     def test_sft_delta_below_flip_depth_keeps_true_orbit(self):
         fs = full_shift(2)
@@ -287,10 +295,6 @@ class TestPerturbedOrbit:
             (y + Fraction(rng.randrange(-2**16, 2**16 + 1), 2**16)
              * Fraction(1, 100)) % 1
             for y in from_true_orbit(rot, Fraction(1, 3), 0, 20).points)
-        perm = PermutationSystem([1, 2, 0])
-        rng = random.Random(5)
-        assert perturbed_orbit(perm, 0, 0, 10, Fraction(2), 5).points == \
-            tuple(rng.randrange(3) for _ in range(11))
 
 
 @settings(max_examples=30, derandomize=True)

@@ -50,12 +50,18 @@ TORAL_ORBIT = from_true_orbit(cat_map(), cat_map().point(0, 0), 0, 2)
      "perturbation is not defined"),
     (lambda: falsify_shadowing(object(), Fraction(1, 4), 10, 0),
      "falsification is not defined"),
+    # both hyperbolic families shadow, so no falsification search can succeed
+    (lambda: falsify_shadowing(full_shift(2), Fraction(1, 8), 64, 5),
+     "falsification is not defined for ShiftSpace"),
+    (lambda: falsify_shadowing(cat_map(), Fraction(1, 8), 64, 5),
+     "falsification is not defined for ToralAutomorphism"),
     (lambda: shadow_sft(cat_map(), TORAL_ORBIT, Fraction(1, 4)),
      "shadow_sft needs a shift space"),
     (lambda: shadow_toral(full_shift(2), SHIFT_ORBIT, Fraction(1, 4)),
      "shadow_toral needs a toral automorphism"),
 ], ids=["periodic", "heteroclinic", "barycenter", "cover", "schedule",
-        "perturb", "falsify", "shadow-sft", "shadow-toral"])
+        "perturb", "falsify", "falsify-shift", "falsify-torus", "shadow-sft",
+        "shadow-toral"])
 def test_unsupported_systems(call, name):
     with pytest.raises(UnsupportedSystemError, match=name):
         call()

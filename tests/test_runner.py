@@ -11,7 +11,6 @@ from shadowspec.errors import ConfigError, HorizonError
 from shadowspec.runner import run_check
 from shadowspec.systems import (
     CircleRotation,
-    PermutationSystem,
     cat_map,
     full_shift,
 )
@@ -179,8 +178,7 @@ def test_rotation_without_delta_has_no_calibration():
 
 @pytest.mark.parametrize("sys", [
     full_shift(2), cat_map(), CircleRotation(Fraction(1, 3)),
-    PermutationSystem([2, 0, 1, 3]),
-], ids=["shift", "torus", "rotation", "permutation"])
+], ids=["shift", "torus", "rotation"])
 def test_sampled_points_lie_in_the_space(sys):
     rng = random.Random(5)
     points = [runner._random_point(sys, rng) for _ in range(20)]
@@ -189,15 +187,12 @@ def test_sampled_points_lie_in_the_space(sys):
     assert len({repr(x) for x in points}) > 1
 
 
-def test_sampled_rotation_and_permutation_points():
+def test_sampled_rotation_points():
     rng = random.Random(5)
-    want_rot = [Fraction(rng.randrange(1 << 16), 1 << 16) for _ in range(20)]
-    want_perm = [rng.randrange(4) for _ in range(20)]
+    want = [Fraction(rng.randrange(1 << 16), 1 << 16) for _ in range(20)]
     rng = random.Random(5)
-    rot, perm = CircleRotation(Fraction(1, 3)), PermutationSystem([2, 0, 1, 3])
-    assert [runner._random_point(rot, rng) for _ in range(20)] == want_rot
-    assert [runner._random_point(perm, rng) for _ in range(20)] == want_perm
-    assert set(want_perm) == {0, 1, 2, 3}
+    rot = CircleRotation(Fraction(1, 3))
+    assert [runner._random_point(rot, rng) for _ in range(20)] == want
 
 
 def test_exhaustive_chains_skip_inadmissible_windows():

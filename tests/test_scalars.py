@@ -208,6 +208,7 @@ class TestSqrtVal:
         v = SqrtVal(PHI)  # sqrt(golden ratio)
         assert v < Fraction(13, 10)
         assert v > Fraction(12, 10)
+        assert abs(float(v) - 1.2720196495140689) < 1e-15
 
 
 @settings(max_examples=100, derandomize=True)

@@ -1,22 +1,30 @@
 """Schedules, connectors, and the specification pipeline."""
 
+import os
 import random
+import subprocess
+import sys as _sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import shadowspec
 from shadowspec.covers import build_cover
 from shadowspec.errors import (
+    BudgetExceededError,
     EmptyInputError,
     HorizonError,
     NotTransitiveError,
 )
 from shadowspec.shadowing import delta_for_epsilon
 from shadowspec.specification import (
+    _SWEEP_CAP,
     _cell_lane,
+    _toral_sweep,
     check_specification,
+    cover_tolerance,
     specification_point,
     transition_times,
 )
@@ -158,6 +166,80 @@ def test_toral_uniform_schedule_and_replay():
         assert sched.entry(1, i, j) == 9
         assert sched.verify_entry(1, i, j)
         assert sched.verify_entry(2, i, j)
+
+
+def _numpy_sweep(np, sys, cover, X):
+    """The strand sweep with a numpy raster, as its oracle: every sample is
+    rastered, in chunks, before the candidates are verified as the sweep
+    verifies them."""
+    sp = sys.hyperbolic_splitting()
+    sigma = sp.v_u[1]
+    side = cover.cells[0].side
+    per = round(1 / side)
+    sig_ub = Fraction((abs(sigma) * 2**20).floor() + 1, 2**20)
+    t_max = side / (2 * (1 + sig_ub))
+    y0 = Fraction(0) if sigma.sign() >= 0 else t_max * sig_ub
+    M = sys.matrix_power(X)
+    lam_x = sp.lam_u**X
+    img_dx, img_dy = lam_x, lam_x * sigma
+    base_x = sys.scalar(M[0][1]) * y0
+    base_y = sys.scalar(M[1][1]) * y0
+    raw = 4 * float(t_max) * abs(float(lam_x)) * max(1.0, abs(float(sigma)))
+    k_count = max(per * per, int(raw / float(side)) + 1)
+    if k_count > _SWEEP_CAP:
+        return "budget"
+    step = t_max / k_count
+    fdx, fdy = float(img_dx) * float(step), float(img_dy) * float(step)
+    fbx, fby = float(base_x), float(base_y)
+    candidates = {}
+    for lo in range(0, k_count, 1 << 20):
+        ks = np.arange(lo, min(lo + (1 << 20), k_count), dtype=np.float64)
+        fx = (ks * fdx + fbx) % 1.0
+        fy = (ks * fdy + fby) % 1.0
+        flat = (np.clip((fx * per).astype(np.int64), 0, per - 1) * per
+                + np.clip((fy * per).astype(np.int64), 0, per - 1))
+        uniq, idx = np.unique(flat, return_index=True)
+        for cell, k in zip(uniq.tolist(), (idx + lo).tolist()):
+            candidates.setdefault(cell, k)
+    if len(candidates) < per * per:
+        return None
+    col_x = _cell_lane(sys.D, per, base_x, img_dx * step)
+    col_y = _cell_lane(sys.D, per, base_y, img_dy * step)
+    witnesses = {}
+    for k in sorted(candidates.values()):
+        witnesses.setdefault(col_x(k) * per + col_y(k), k * step)
+    return witnesses if len(witnesses) == per * per else None
+
+
+@pytest.mark.parametrize("matrix, epsilon", [
+    (((2, 1), (1, 1)), Fraction(1, 10)), (((2, 1), (1, 1)), Fraction(1, 20)),
+    (((3, 1), (2, 1)), Fraction(1, 10)),
+], ids=["cat-10", "cat-20", "3121-10"])
+def test_toral_sweep_matches_numpy_raster(matrix, epsilon):
+    np = pytest.importorskip("numpy")
+    sys = ToralAutomorphism(matrix)
+    cover = build_cover(sys, cover_tolerance(sys, epsilon))
+    found = []
+    for X in range(1, 15):
+        want = _numpy_sweep(np, sys, cover, X)
+        try:
+            got = _toral_sweep(sys, cover, X)[0]
+        except BudgetExceededError:
+            got = "budget"
+        assert got == want, X
+        found.append(want is not None and want != "budget")
+    # both outcomes occur: early X values fail, later ones reach every cell
+    assert found[0] is False and True in found
+
+
+def test_import_leaves_numpy_out():
+    # the package runs on the standard library alone
+    src = os.path.dirname(os.path.dirname(shadowspec.__file__))
+    code = "import sys, shadowspec; print('numpy' in sys.modules)"
+    out = subprocess.run([_sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((3, 1), (2, 1))])

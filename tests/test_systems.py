@@ -295,5 +295,11 @@ class TestPermutation:
         with pytest.raises(ValueError):
             PermutationSystem([0, 0, 1])
 
+    def test_rejects_points_outside_the_space(self):
+        for bad in (3, -1, True, "2"):
+            with pytest.raises(MalformedPointError,
+                               match=r"point must be an integer in \[0, 3\)"):
+                PermutationSystem([2, 0, 1]).apply(bad)
+
     def test_describe(self):
         assert PermutationSystem([1, 0]).describe() == "permutation 1 0"
