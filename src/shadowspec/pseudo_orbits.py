@@ -9,15 +9,20 @@ package (shadowing, specification, barycenter, heteroclinic extraction and
 their replay) goes through ``orbit``, ``deviations`` and ``max_deviation``.
 Everything here is exact: the gap is an exact scalar and recomputing it
 reproduces the cached value bit for bit.
+
+Tori and rotations track on integers: a pseudo-orbit of theirs carries an
+integer form over one denominator, which their kernels read instead of the
+points.  The toral lane of ``perturbed_orbit`` and ``drift_orbit`` build
+that form directly, and their points are made only when something reads
+them; explicit point lists are converted once, on first use.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .errors import CalibrationError, UnsupportedSystemError
 from .scalars import QuadraticNumber, _floor_quad
@@ -61,33 +66,78 @@ def deviations(sys, x, points, step: int = 1):
 
 
 def max_deviation(sys, x, points):
-    """The exact max_n d(f^n(x), y_n) over a nonempty list of points.
+    """The exact max_n d(f^n(x), y_n) over a nonempty list of points."""
+    return PseudoOrbit(sys, 0, points).max_deviation(x)
 
-    Tori and rotations take their integer lane, ``max_orbit_deviation``,
-    and every other system the maximum of ``deviations``; both are exact.
+
+class _FormPoints(Sequence):
+    """The points of an integer form, each made only when it is read.
+
+    ``form[1]`` holds one entry per point, and ``make(i)`` builds point i;
+    ``len`` reads no point.  It equals any sequence of the same points.
     """
-    if isinstance(sys, _INTEGER_LANE):
-        return sys.max_orbit_deviation(x, points)
-    return max(deviations(sys, x, points))
+
+    def __init__(self, form, make):
+        self.form = form
+        self._n = len(form[1])
+        self._make = make
+        self._all = None
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        if self._all is not None or isinstance(i, slice):
+            return self._points()[i]
+        return self._make(range(self._n)[i])
+
+    def _points(self) -> tuple:
+        if self._all is None:
+            self._all = tuple(map(self._make, range(self._n)))
+        return self._all
+
+    def __iter__(self):
+        return iter(self._points())
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and self._points() == tuple(other)
 
 
-@dataclass
 class PseudoOrbit:
     """Points y_a..y_b of one system with their cached maximum jump error.
 
-    The gap is computed from the points on first access, and
-    ``recompute_gap`` re-derives the same value from the definition.
+    The gap is computed on first access, and ``recompute_gap`` re-derives
+    the same value from the definition.  ``points`` is a tuple, or for the
+    package's own toral and drift constructions a sequence whose points are
+    made on first read.
     """
 
-    system: object
-    start: int
-    points: tuple
-
-    def __post_init__(self):
-        self.points = tuple(self.points)
+    def __init__(self, system, start: int, points):
+        self.system = system
+        self.start = start
+        if isinstance(points, _FormPoints):
+            self._form = points.form
+        else:
+            points, self._form = tuple(points), None
+        self.points = points
         if not self.points:
             raise ValueError("a pseudo-orbit needs at least one point")
         self._gap = None
+
+    @property
+    def form(self):
+        """The integer form the kernels of tori and rotations read.
+
+        A torus gives (den, us, vs) with y_(a+i) = (us[i] + vs[i]*sqrt(D))
+        / den coordinatewise, and a rotation (den, u) with y_(a+i) = u[i] /
+        den.  Explicit points are converted, and validated, on first use.
+        """
+        if self._form is None:
+            sys = self.system
+            convert = sys._integer_vectors \
+                if isinstance(sys, ToralAutomorphism) else sys._integers
+            self._form = convert(self.points)
+        return self._form
 
     @property
     def gap(self):
@@ -111,16 +161,27 @@ class PseudoOrbit:
     def recompute_gap(self):
         """max_i d(f(y_i), y_{i+1}), re-derived from the points.
 
-        Tori and rotations take their integer lane (``max_jump``); every
-        other system takes the maximum of ``distance`` over ``apply``.  Both
-        give the same exact value.
+        Tori and rotations take their integer lane (``max_jump``) on
+        ``form``; every other system takes the maximum of ``distance`` over
+        ``apply``.  Both give the same exact value.
         """
         sys = self.system
         if isinstance(sys, _INTEGER_LANE):
-            return sys.max_jump(self.points)
+            return sys.max_jump(self.form)
         jumps = [sys.distance(sys.apply(self.points[i]), self.points[i + 1])
                  for i in range(len(self.points) - 1)]
         return max(jumps, default=Fraction(0))
+
+    def max_deviation(self, x):
+        """The exact max_n d(f^n(x), y_(a+n)) over the points.
+
+        Tori and rotations take their integer lane, ``max_orbit_deviation``
+        on ``form``, and every other system the maximum of ``deviations``.
+        """
+        sys = self.system
+        if isinstance(sys, _INTEGER_LANE):
+            return sys.max_orbit_deviation(x, self.form)
+        return max(deviations(sys, x, self.points))
 
 
 def from_true_orbit(sys, x, a: int, b: int) -> PseudoOrbit:
@@ -134,11 +195,20 @@ def drift_orbit(sys: CircleRotation, y0, step, length: int) -> PseudoOrbit:
     """y_0 = y0 and y_(n+1) = y_n + angle + step (mod 1), for n < length.
 
     Each jump misses the rotation by ``step``, so the drift accumulates.
+    The orbit is built as its integer form over the least common
+    denominator; y0 is validated, and its points are made on first read.
     """
-    pts = [y0]
+    sys.validate_point(y0)
+    if not isinstance(step, (int, Fraction)):
+        raise CalibrationError(f"drift step {step} is not rational")
+    step = Fraction(step)
+    den = lcm(sys.angle.denominator, y0.denominator, step.denominator)
+    move = int((sys.angle + step) * den)
+    u = [y0.numerator * (den // y0.denominator)]
     for _ in range(length):
-        pts.append((pts[-1] + sys.angle + step) % 1)
-    return PseudoOrbit(sys, 0, pts)
+        u.append((u[-1] + move) % den)
+    return PseudoOrbit(sys, 0, _FormPoints((den, u),
+                                           lambda i: Fraction(u[i], den)))
 
 
 def _jitter(rng: random.Random, h: Fraction) -> Fraction:
@@ -211,7 +281,8 @@ def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
     # (u + v*sqrt(D)) / Q with u reduced mod Q, an integer translate that
     # leaves the point on the torus unchanged, and each jittered coordinate
     # c + j*h/2^16 is one pair over L = lcm(Q, 2^16 * denominator(h)),
-    # reduced to [0, 1) by one floor.
+    # reduced to [0, 1) by one floor.  The pairs are the orbit's integer
+    # form; no point is made here.
     Q, ((x0, x1),), ((y0, y1),) = sys._integer_vectors([x])
     (m00, m01), (m10, m11) = sys.matrix_power(a)
     u0, u1 = (m00 * x0 + m01 * x1) % Q, (m10 * x0 + m11 * x1) % Q
@@ -224,19 +295,34 @@ def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
     j_scale = L // (_JITTER_STEPS * h.r)
     jp, jq = h.p * j_scale, h.q * j_scale
     D = sys.D
-    draw = rng.randrange
+    # j = randrange(-2^16, 2^16 + 1), drawn as CPython's randrange draws it:
+    # 18 random bits, redrawn while they reach 2^17 + 1.
+    bits, span = rng.getrandbits, 2 * _JITTER_STEPS + 1
 
-    def jittered(cu, cv):
-        j = draw(-_JITTER_STEPS, _JITTER_STEPS + 1)
-        p, q = cu * c_scale + jp * j, cv * c_scale + jq * j
-        return QuadraticNumber(D, p - _floor_quad(D, p, q, L) * L, q, L)
-
-    pts = []
+    us, vs = [], []
     for _ in range(a, b + 1):
-        pts.append(TorusPoint((jittered(u0, v0), jittered(u1, v1))))
+        j0 = bits(18)
+        while j0 >= span:
+            j0 = bits(18)
+        j1 = bits(18)
+        while j1 >= span:
+            j1 = bits(18)
+        j0 -= _JITTER_STEPS
+        j1 -= _JITTER_STEPS
+        p0, q0 = u0 * c_scale + jp * j0, v0 * c_scale + jq * j0
+        p1, q1 = u1 * c_scale + jp * j1, v1 * c_scale + jq * j1
+        us.append((p0 - _floor_quad(D, p0, q0, L) * L,
+                   p1 - _floor_quad(D, p1, q1, L) * L))
+        vs.append((q0, q1))
         u0, u1 = (a00 * u0 + a01 * u1) % Q, (a10 * u0 + a11 * u1) % Q
         v0, v1 = a00 * v0 + a01 * v1, a10 * v0 + a11 * v1
-    return PseudoOrbit(sys, a, pts)
+
+    def make(i):
+        (p0, p1), (q0, q1) = us[i], vs[i]
+        return TorusPoint((QuadraticNumber(D, p0, q0, L),
+                           QuadraticNumber(D, p1, q1, L)))
+
+    return PseudoOrbit(sys, a, _FormPoints((L, us, vs), make))
 
 
 def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:
@@ -244,9 +330,10 @@ def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:
 
     The true orbit's gap is 0, so the whole of delta is the jitter budget.
     Tori perturb on integer pairs over one denominator, for rational and
-    irrational x and delta alike; the other families perturb the
-    ``from_true_orbit`` points.  A negative delta raises CalibrationError,
-    and delta = 0 gives the true orbit.
+    irrational x and delta alike, and keep them as the orbit's integer
+    form, so no point is made until one is read; the other families
+    perturb the ``from_true_orbit`` points.  A negative delta raises
+    CalibrationError, and delta = 0 gives the true orbit.
     """
     if a > b:
         raise ValueError(f"empty index range [{a}, {b}]")

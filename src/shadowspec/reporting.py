@@ -22,8 +22,7 @@ from .barycenter import (BarycenterWitness, _heteroclinic_bound, as_periodic,
                          extract_heteroclinic, verify_barycenter)
 from .codecs import decode_point, decode_scalar, encode_point, encode_scalar
 from .errors import SchemaMismatchError, ShadowspecError
-from .pseudo_orbits import (PseudoOrbit, drift_orbit, max_deviation,
-                            perturbed_orbit)
+from .pseudo_orbits import PseudoOrbit, drift_orbit, perturbed_orbit
 from .scalars import parse_exact
 from .specification import check_specification
 from .systems import CircleRotation, ShiftSpace, ToralAutomorphism
@@ -190,6 +189,9 @@ def _rebuild_pseudo_orbit(sys, spec: dict) -> PseudoOrbit:
                                spec["a"], spec["b"],
                                decode_scalar(spec["delta"]), spec["seed"])
     if kind == "drift":
+        if not isinstance(sys, CircleRotation):
+            raise SchemaMismatchError(
+                f"a drift pseudo-orbit needs a rotation, not {sys.describe()!r}")
         return drift_orbit(sys, decode_scalar(spec["y0"]),
                            decode_scalar(spec["delta"]), spec["length"])
     raise SchemaMismatchError(f"unknown pseudo-orbit form {kind!r}")
@@ -202,8 +204,7 @@ def _replay_shadowing(sys, payload: dict) -> bool:
     if not po.gap <= delta:
         return False
     tracer = decode_point(sys, payload["tracer"])
-    mx = max_deviation(sys, sys.apply(tracer, po.start - payload["start"]),
-                       po.points)
+    mx = po.max_deviation(sys.apply(tracer, po.start - payload["start"]))
     if not mx < eps:
         return False
     return encode_scalar(mx) == payload["maxDeviation"]
@@ -302,8 +303,7 @@ def _replay_falsify(sys, payload: dict) -> bool:
     if len(stored) != grid or grid < 1 or \
             not threshold >= eps + Fraction(1, 2 * grid):
         return False
-    devs = [max_deviation(sys, Fraction(g, grid), po.points)
-            for g in range(grid)]
+    devs = [po.max_deviation(Fraction(g, grid)) for g in range(grid)]
     return devs == stored and min(devs) >= threshold
 
 

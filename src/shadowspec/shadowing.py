@@ -31,7 +31,7 @@ from .systems import (
     _max_pair,
     _pair_mul,
 )
-from .pseudo_orbits import PseudoOrbit, deviations, drift_orbit, max_deviation
+from .pseudo_orbits import PseudoOrbit, deviations, drift_orbit
 
 
 def _expansion_constant(sys: ToralAutomorphism):
@@ -132,7 +132,7 @@ def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
     tracer = SymbolicPoint(left, core, right, -(a + lo))
     sys.validate_point(tracer)
     x = sys.apply(tracer, a)
-    mx = max_deviation(sys, x, po.points)
+    mx = po.max_deviation(x)
     if not mx < epsilon:
         raise InternalInvariantError(
             f"splice deviation {mx} reached epsilon {epsilon}")
@@ -153,9 +153,10 @@ def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
     ``ToralAutomorphism.max_orbit_deviation``, the kernel replay uses.
 
     Everything runs on integer pairs (see the integer lane in
-    ``systems``): coordinates over one common denominator Q, and errors
-    as elements (a + b*sqrt(D)) / 2 of the order, for any discriminant and
-    for rational or irrational points alike.
+    ``systems``): the pseudo-orbit's integer form, coordinates over one
+    common denominator Q, and errors as elements (a + b*sqrt(D)) / 2 of the
+    order, for any discriminant and for rational or irrational points
+    alike.  The pseudo-orbit's points are never read.
     """
     if not isinstance(sys, ToralAutomorphism):
         raise UnsupportedSystemError("shadow_toral needs a toral automorphism")
@@ -164,7 +165,7 @@ def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
     delta = delta_for_epsilon(sys, eps)
     D = sys.D
     (a, b), (c, d) = sys.matrix
-    Q, us, vs = sys._integer_vectors(po.points)
+    Q, us, vs = form = po.form
 
     # The jump error e_n = y_{n+1} + k_n - A * y_n takes the integer vector
     # k_n nearest to t = A * y_n - y_{n+1}, ties toward the smaller integer:
@@ -214,12 +215,12 @@ def shadow_toral(sys: ToralAutomorphism, po: PseudoOrbit,
     tracer = sys.point(*(QuadraticNumber(D, u, v, Q)
                          + QuadraticNumber(D, G * Y * D, G * X, den)
                          for u, v, (X, Y) in zip(us[0], vs[0], corr)))
-    mxdev = sys.max_orbit_deviation(tracer, po.points)
+    mxdev = sys.max_orbit_deviation(tracer, form)
     if not mxdev < eps:
         raise InternalInvariantError(
             f"deviation {mxdev} reached epsilon {eps}")
     return ShadowingResult(
-        tracer, mxdev, lambda: sys.orbit_deviations(tracer, po.points),
+        tracer, mxdev, lambda: sys.orbit_deviations(tracer, form),
         eps, delta, po.index_range[0])
 
 
@@ -271,8 +272,7 @@ def falsify_shadowing(sys, epsilon, horizon: int, seed: int,
     # orbit deviates by at least 9*eps/8 somewhere, no point stays below eps.
     grid = max(-((-4 * eps.denominator) // eps.numerator), 1)  # ceil(4/eps)
     threshold = eps * Fraction(9, 8)
-    maxdevs = [max_deviation(sys, Fraction(g, grid), po.points)
-               for g in range(grid)]
+    maxdevs = [po.max_deviation(Fraction(g, grid)) for g in range(grid)]
     if min(maxdevs) >= threshold:
         cert = {"gridSize": grid, "threshold": threshold,
                 "gridMaxDeviations": tuple(maxdevs)}

@@ -43,11 +43,13 @@ class _SftLevel:
 
 @dataclass(frozen=True)
 class _ToralLevel:
-    # one uniform X; witnesses map a target cell to the strand parameter t
-    # of a verified point of the base box landing in that cell
+    # one uniform X; witnesses map a target cell to the sample index k of a
+    # verified point of the base box landing in that cell, whose strand
+    # parameter is t = k * step
     x_value: int
     witnesses: dict
     base_y: Fraction
+    step: Fraction
     threshold: int
 
 
@@ -107,7 +109,7 @@ class TransitionSchedule:
         flat = 0
         for c in target:
             flat = flat * per + round(c * per)
-        t = lv.witnesses[flat]
+        t = lv.witnesses[flat] * lv.step
         sp = sys.hyperbolic_splitting()
         base = (sys.scalar(t), lv.base_y + t * sp.v_u[1])
         return sys.point(base[0] + lower_j[0], base[1] + lower_j[1])
@@ -210,14 +212,16 @@ def _cell_lane(D: int, per: int, base, slope):
     return lambda k: _floor_quad(D, u + k * du, v + k * dv, R) % per
 
 
-def _toral_sweep(sys: ToralAutomorphism, cover: Cover, X: int):
-    """Verified witnesses of the base box reaching every cell in X steps.
+def _toral_sweep(sys: ToralAutomorphism, cover: Cover,
+                 X: int) -> _ToralLevel | None:
+    """The level of uniform time X, when the base box reaches every cell.
 
-    Trial points sit on the unstable strand through the base box; a float
-    raster proposes the first k landing in each cell, and the candidates are
-    verified in exact arithmetic, earliest first, before they count: the
-    image of candidate k is affine in k, so ``_cell_lane`` gives its cell
-    by one isqrt per coordinate.  Returns None when some cell stays
+    Trial points sit on the unstable strand through the base box, at
+    parameters t = k * step; a float raster proposes the first k landing in
+    each cell, and the candidates are verified in exact arithmetic, earliest
+    first, before they count: the image of candidate k is affine in k, so
+    ``_cell_lane`` gives its cell by one isqrt per coordinate.  The level
+    keeps each witness as its k.  Returns None when some cell stays
     unreached at this sampling density.
     """
     sp = sys.hyperbolic_splitting()
@@ -245,7 +249,7 @@ def _toral_sweep(sys: ToralAutomorphism, cover: Cover, X: int):
     # cells of the samples, so below per^2 cells no density of samples can
     # reach them all.
     if (abs(img_dx) + abs(img_dy)) * t_max * per + 3 < per * per:
-        return None, y0
+        return None
     step = t_max / k_count
     fdx, fdy = float(img_dx) * float(step), float(img_dy) * float(step)
     fbx, fby = float(base_x), float(base_y)
@@ -261,27 +265,26 @@ def _toral_sweep(sys: ToralAutomorphism, cover: Cover, X: int):
             if len(candidates) == cells:
                 break
     else:
-        return None, y0
+        return None
 
     col_x = _cell_lane(sys.D, per, base_x, img_dx * step)
     col_y = _cell_lane(sys.D, per, base_y, img_dy * step)
     witnesses = {}
     for k in sorted(candidates.values()):
         exact = col_x(k) * per + col_y(k)
-        if exact not in witnesses:
-            witnesses[exact] = k * step
+        witnesses.setdefault(exact, k)
     if len(witnesses) < per * per:
-        return None, y0
-    return witnesses, y0
+        return None
+    return _ToralLevel(X, witnesses, y0, step, X)
 
 
 def _toral_level(sys: ToralAutomorphism, cover: Cover, n: int, m_prev: int,
                  prev_x: int, horizon: int) -> _ToralLevel:
     X = max(m_prev, prev_x + 1, 1)
     while X <= horizon:
-        witnesses, y0 = _toral_sweep(sys, cover, X)
-        if witnesses is not None:
-            return _ToralLevel(X, witnesses, y0, X)
+        level = _toral_sweep(sys, cover, X)
+        if level is not None:
+            return level
         X += 1
     raise HorizonError(
         f"level {n}: no uniform transition time within horizon {horizon}")

@@ -8,8 +8,12 @@ compares an orbit with a reference sequence through ``pseudo_orbits.orbit``,
 ``deviations`` and ``max_deviation``.  Tori and rotations also offer
 ``max_jump`` and ``max_orbit_deviation``: the same maxima of ``distance`` over
 ``apply``, on integers over one denominator, behind
-``PseudoOrbit.recompute_gap`` and ``max_deviation``; tori also give the
-per-index values as ``orbit_deviations``.
+``PseudoOrbit.recompute_gap`` and ``PseudoOrbit.max_deviation``; tori also
+give the per-index values as ``orbit_deviations``.  These kernels read a
+pseudo-orbit's integer form, never its points: the form is built directly
+by the package's constructions, and points from outside go through one
+converter per family (``_integer_vectors``, ``_integers``), which validates
+each point once.
 """
 
 from __future__ import annotations
@@ -408,6 +412,9 @@ def _mat_mul(A, B):
 # exact square and sign run only where they overlap (``_max_filtered``).
 # ``max_orbit_deviation`` steps such values with the map as it walks, and
 # every toral tracer, built or replayed, is measured by that one walk.
+# Pseudo-orbits reach these kernels as their integer form (den, us, vs):
+# ``perturbed_orbit`` builds it from its jitter draws, and explicit or
+# decoded points are converted once by ``_integer_vectors``.
 
 
 def _sq_dist_to_int(D: int, u: int, v: int, den: int) -> tuple[int, int]:
@@ -597,7 +604,11 @@ class ToralAutomorphism:
         return SqrtVal(total)
 
     def _integer_vectors(self, points):
-        """(den, u, v) with point i equal to (u[i] + v[i]*sqrt(D)) / den."""
+        """(den, us, vs) with point i equal to (us[i] + vs[i]*sqrt(D)) / den.
+
+        This is the one conversion of points into the integer form the
+        kernels below read, and each point is validated here, once.
+        """
         for x in points:
             self.validate_point(x)
         coords = [x.coords for x in points]
@@ -606,12 +617,13 @@ class ToralAutomorphism:
         v = [(x.q * (den // x.r), y.q * (den // y.r)) for x, y in coords]
         return den, u, v
 
-    def max_jump(self, points) -> SqrtVal | Fraction:
-        """max_i d(f(y_i), y_{i+1}) over consecutive points; 0 for one point."""
-        if len(points) < 2:
+    def max_jump(self, form) -> SqrtVal | Fraction:
+        """max_i d(f(y_i), y_{i+1}) over the points of the integer form
+        ``form``; 0 for one point."""
+        den, us, vs = form
+        if len(us) < 2:
             return Fraction(0)
         D = self.D
-        den, us, vs = self._integer_vectors(points)
         (a, b), (c, d) = self.matrix
 
         jumps = []
@@ -624,35 +636,43 @@ class ToralAutomorphism:
             jumps.append((p0 + p1, q0 + q1))
         return SqrtVal(QuadraticNumber(D, *_max_pair(D, jumps), den * den))
 
-    def _offsets(self, x: TorusPoint, points):
-        """(den, k, S, us, vs, offsets): the orbit of x against the y_n.
+    def _offsets(self, x: TorusPoint, form):
+        """(den, k, S, xv, m, offsets): the orbit of x against the y_n.
 
-        ``us``, ``vs`` are ``_integer_vectors([x, *points])``; coordinate i
-        of f^n(x) - y_n is (U_i + V_i*sqrt(D)) / den, offsets[n] = (U_0, V_0,
-        U_1, V_1), with U mod den (a lattice translate) and V exact.  k is
-        the largest bit length of a V plus 64, and S = isqrt(D * 4^k).
+        x is validated and put on den = lcm(its denominator, the form's);
+        xv = (u0, u1, v0, v1) is x over den, and m = den // (the form's den)
+        puts a point of the form on den inside the walk, so the points are
+        neither validated nor rescaled again.  Coordinate i of f^n(x) - y_n
+        is (U_i + V_i*sqrt(D)) / den, offsets[n] = (U_0, V_0, U_1, V_1),
+        with U mod den (a lattice translate) and V exact.  k is the largest
+        bit length of a V plus 64, and S = isqrt(D * 4^k).
         """
-        den, us, vs = self._integer_vectors([x, *points])
+        qx, ((u0, u1),), ((v0, v1),) = self._integer_vectors([x])
+        q, us, vs = form
+        den = lcm(qx, q)
+        s, m = den // qx, den // q
+        u0, u1, v0, v1 = u0 * s, u1 * s, v0 * s, v1 * s
+        xv = u0, u1, v0, v1
         (a, b), (c, d) = self.matrix
-        (u0, u1), (v0, v1) = us[0], vs[0]
         offsets = []
-        for (x0, x1), (y0, y1) in zip(us[1:], vs[1:]):
-            offsets.append(((u0 - x0) % den, v0 - y0, (u1 - x1) % den, v1 - y1))
+        for (x0, x1), (y0, y1) in zip(us, vs):
+            offsets.append(((u0 - x0 * m) % den, v0 - y0 * m,
+                            (u1 - x1 * m) % den, v1 - y1 * m))
             u0, u1 = (a * u0 + b * u1) % den, (c * u0 + d * u1) % den
             v0, v1 = a * v0 + b * v1, c * v0 + d * v1
         k = max(abs(V).bit_length() for o in offsets for V in o[1::2]) + 64
-        return den, k, isqrt(self.D << 2 * k), us, vs, offsets
+        return den, k, isqrt(self.D << 2 * k), xv, m, offsets
 
-    def orbit_deviations(self, x: TorusPoint, points):
-        """d(f^n(x), y_n) for each point y_n in turn, exactly."""
+    def orbit_deviations(self, x: TorusPoint, form):
+        """d(f^n(x), y_n) for each point y_n of the integer form, exactly."""
         D = self.D
-        den, k, S, _, _, offsets = self._offsets(x, points)
+        den, k, S, _, _, offsets = self._offsets(x, form)
         for offset in offsets:
             yield SqrtVal(QuadraticNumber(D, *_sq_norm(D, offset, den, k, S),
                                           den * den))
 
-    def max_orbit_deviation(self, x: TorusPoint, points) -> SqrtVal:
-        """max_n d(f^n(x), y_n) over the points y_0, y_1, ...
+    def max_orbit_deviation(self, x: TorusPoint, form) -> SqrtVal:
+        """max_n d(f^n(x), y_n) over the points y_0, y_1, ... of the form.
 
         With W = den * 2^k, 2^k * (U + V*sqrt(D)) lies within |V| < 2^s of
         t = (U << k) + V*S mod W, so min(t, W - t) is 2^k * den times the
@@ -661,16 +681,17 @@ class ToralAutomorphism:
         bounds reach the largest lower bound are squared exactly.
         """
         D = self.D
-        den, k, S, us, vs, offsets = self._offsets(x, points)
+        den, k, S, (x0, x1, y0, y1), m, offsets = self._offsets(x, form)
+        _, us, vs = form
         (a, b), (c, d) = self.matrix
         s, W = k - 64, den << k
-        (x0, x1), (y0, y1) = us[0], vs[0]
+        mk, mS = m << k, m * S
         T0, T1 = (x0 << k) + y0 * S, (x1 << k) + y1 * S
         bounds = []
-        for (x0, x1), (y0, y1) in zip(us[1:], vs[1:]):
+        for (x0, x1), (y0, y1) in zip(us, vs):
             lo = hi = 0
-            for t in ((T0 - (x0 << k) - y0 * S) % W,
-                      (T1 - (x1 << k) - y1 * S) % W):
+            for t in ((T0 - x0 * mk - y0 * mS) % W,
+                      (T1 - x1 * mk - y1 * mS) % W):
                 q = min(t, W - t) >> s  # the distance lies in (q-1, q+2) * 2^s
                 lo += max(q - 1, 0) ** 2
                 hi += (q + 2) ** 2
@@ -721,25 +742,44 @@ class CircleRotation:
         return min(t, 1 - t)
 
     def _integers(self, points):
-        """(den, a, u): the angle is a / den and point i is u[i] / den."""
+        """(den, u) with point i equal to u[i] / den, den a multiple of the
+        angle's denominator: the one conversion of points into the integer
+        form the kernels below read, each point validated here, once."""
         for x in points:
             self.validate_point(x)
-        angle = self.angle
-        den = lcm(angle.denominator, *(x.denominator for x in points))
-        return (den, angle.numerator * (den // angle.denominator),
-                [x.numerator * (den // x.denominator) for x in points])
+        den = lcm(self.angle.denominator, *(x.denominator for x in points))
+        return den, [x.numerator * (den // x.denominator) for x in points]
 
-    def max_jump(self, points) -> Fraction:
-        """max_i d(f(y_i), y_{i+1}) over consecutive points; 0 for one point."""
-        den, a, u = self._integers(points)
+    def _angle_over(self, den: int) -> int:
+        return self.angle.numerator * (den // self.angle.denominator)
+
+    def max_jump(self, form) -> Fraction:
+        """max_i d(f(y_i), y_{i+1}) over the points of the integer form
+        ``form``; 0 for one point."""
+        den, u = form
+        a = self._angle_over(den)
         steps = ((u1 - u0 - a) % den for u0, u1 in zip(u, u[1:]))
         return Fraction(max((min(t, den - t) for t in steps), default=0), den)
 
-    def max_orbit_deviation(self, x: Fraction, points) -> Fraction:
-        """max_n d(f^n(x), y_n) over the points y_0, y_1, ..."""
-        den, a, (u0, *ys) = self._integers([x, *points])
-        offsets = ((y - u0 - n * a) % den for n, y in enumerate(ys))
-        return Fraction(max(min(t, den - t) for t in offsets), den)
+    def max_orbit_deviation(self, x: Fraction, form) -> Fraction:
+        """max_n d(f^n(x), y_n) over the points y_0, y_1, ... of the form.
+
+        Only x is validated and scaled; the points are put on the common
+        denominator by one product each inside the walk.
+        """
+        self.validate_point(x)
+        q, ys = form
+        den = lcm(q, x.denominator)
+        m, a = den // q, self._angle_over(den)
+        u = x.numerator * (den // x.denominator)  # f^n(x) = u / den (mod 1)
+        best = 0
+        for y in ys:
+            t = (y * m - u) % den
+            t = den - t if 2 * t > den else t  # the distance to the lattice
+            if t > best:
+                best = t
+            u += a
+        return Fraction(best, den)
 
     def describe(self) -> str:
         return f"rotation angle={self.angle}"

@@ -1,8 +1,10 @@
 """End-to-end command line behavior, including exit codes."""
 
+import hashlib
 import json
 import runpy
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,9 @@ ERROR_CFG = (
     "check.epsilon = 1/8\n"
     "check.count = 1\n"
 )
+
+
+C8_ROTATION = Path(__file__).resolve().parents[1] / "configs" / "c8_rotation.cfg"
 
 
 def cfg_file(tmp_path, text, name="run.cfg"):
@@ -282,3 +287,20 @@ def test_replay_rejects_malformed_report(tmp_path, capsys):
     bad.write_text("this is not a report\n")
     assert main(["replay", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_replay_of_a_drift_on_a_shift_exits_two(tmp_path, capsys):
+    # a drift pseudo-orbit steps by a rotation angle, so on a shift the
+    # record cannot be interpreted, even with a digest that matches
+    out = tmp_path / "c8.jsonl"
+    assert main(["falsify-shadowing", "--config", str(C8_ROTATION),
+                 "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["witnessPayload"]["pseudoOrbit"]["kind"] == "drift"
+    description = "sft r=2 T=11;11"
+    record["parameters"]["system"] = description
+    record["systemDigest"] = hashlib.sha256(description.encode()).hexdigest()
+    out.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 2
+    assert "a drift pseudo-orbit needs a rotation" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowspec.codecs import encode_point, encode_scalar
+from shadowspec.codecs import decode_point, encode_point, encode_scalar
 from shadowspec.errors import (
     CalibrationError,
     MalformedPointError,
@@ -128,6 +128,26 @@ class TestPerturb:
             assert po.points == from_true_orbit(sys_, start, -2, 5).points
         with pytest.raises(ValueError):
             perturbed_orbit(cat, x, 3, 2, Fraction(1, 100), 0)
+
+    def test_toral_builds_no_quadratic_number(self, monkeypatch):
+        # the jitter draws stay integer pairs: the few scalars of the jitter
+        # bound h are built, the same few however long the orbit, and no
+        # point's coordinates until the point is read
+        sys_ = cat_map()
+        x = sys_.point(Fraction(1234, 4096), Fraction(877, 4096))
+        calls = []
+        real = QuadraticNumber.__init__
+        monkeypatch.setattr(QuadraticNumber, "__init__",
+                            lambda *args: calls.append(1) or real(*args))
+        counts = []
+        for b in (1, 999):
+            calls.clear()
+            po = perturbed_orbit(sys_, x, 0, b, Fraction(1, 10**6), 7)
+            assert len(po.points) == b + 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 10
+        po.point(500)
+        assert len(calls) == counts[1] + 2
 
     @pytest.mark.parametrize("sys_,x", [
         (golden_mean_shift(),
@@ -260,16 +280,21 @@ class TestPerturbedOrbit:
     MATRICES = [((2, 1), (1, 1)), ((1, 1), (1, 0)), ((3, 1), (2, 1)),
                 ((2, 1), (1, 0)), ((3, 1), (1, 0))]
 
-    @pytest.mark.parametrize("a,b,seed", [(0, 40, 5), (-3, 17, 99), (2, 30, 1234)])
+    @pytest.mark.parametrize("a,b,seed", [
+        (0, 40, 5), (-3, 17, 99), (2, 30, 1234),
+        pytest.param(0, 999, 7, id="toral-long")])
     def test_matches_two_step_construction(self, a, b, seed):
-        for matrix in self.MATRICES:
+        # the toral-long shape, 1000 steps, on the cat map at delta 1e-6 only
+        long = b - a == 999
+        for matrix in self.MATRICES[:1] if long else self.MATRICES:
             sys_ = ToralAutomorphism(matrix)
             D = sys_.D
             starts = [sys_.point(Fraction(3, 7), Fraction(1, 2)),
                       sys_.point(QuadraticNumber(D, 1, 1, 7),
                                  QuadraticNumber(D, 2, -1, 9))]
-            deltas = [Fraction(1, 10**6), Fraction(1, 1000),
-                      delta_for_epsilon(sys_, Fraction(1, 10))]
+            deltas = [Fraction(1, 10**6)] if long else [
+                Fraction(1, 10**6), Fraction(1, 1000),
+                delta_for_epsilon(sys_, Fraction(1, 10))]
             for x in starts:
                 for delta in deltas:
                     lane = perturbed_orbit(sys_, x, a, b, delta, seed)
@@ -279,6 +304,27 @@ class TestPerturbedOrbit:
                         [encode_point(sys_, p) for p in oracle.points]
                 assert perturbed_orbit(sys_, x, a, b, 0, seed).points == \
                     from_true_orbit(sys_, x, a, b).points
+
+    @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((3, 1), (2, 1))])
+    def test_integer_form_matches_decoded_points(self, matrix):
+        # the kernels give the same values on a seeded orbit's own integer
+        # form and on the explicit pseudo-orbit of its decoded points
+        sys_ = ToralAutomorphism(matrix)
+        D = sys_.D
+        for x in (sys_.point(Fraction(3, 7), Fraction(1, 2)),
+                  sys_.point(QuadraticNumber(D, 1, 1, 7),
+                             QuadraticNumber(D, 2, -1, 9))):
+            seeded = perturbed_orbit(sys_, x, -2, 60, Fraction(1, 10**4), 3)
+            explicit = PseudoOrbit(sys_, -2, [
+                decode_point(sys_, encode_point(sys_, p))
+                for p in seeded.points])
+            assert encode_scalar(sys_.max_jump(seeded.form)) == \
+                encode_scalar(sys_.max_jump(explicit.form))
+            for y in (x, sys_.point(Fraction(1, 5), Fraction(2, 5))):
+                assert encode_scalar(sys_.max_orbit_deviation(y, seeded.form)) \
+                    == encode_scalar(sys_.max_orbit_deviation(y, explicit.form))
+                assert list(sys_.orbit_deviations(y, seeded.form)) == \
+                    list(sys_.orbit_deviations(y, explicit.form))
 
     def test_non_toral_falls_back(self):
         # the other families perturb the true orbit with the seeded draws
@@ -451,12 +497,13 @@ def _rotation_lane_cases(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rotation_lane_matches_distance_walk(seed):
     for label, sys_, x, pts in _rotation_lane_cases(seed):
-        dev = sys_.max_orbit_deviation(x, pts)
+        form = sys_._integers(pts)
+        dev = sys_.max_orbit_deviation(x, form)
         walk = _rotation_walk(sys_, x, pts)
         assert type(dev) is Fraction and dev == walk, label
         assert encode_scalar(max_deviation(sys_, x, pts)) == \
             encode_scalar(walk), label
-        gap, gap_walk = sys_.max_jump(pts), _rotation_gap_walk(sys_, pts)
+        gap, gap_walk = sys_.max_jump(form), _rotation_gap_walk(sys_, pts)
         assert type(gap) is Fraction and gap == gap_walk, label
         assert encode_scalar(PseudoOrbit(sys_, 0, pts).gap) == \
             encode_scalar(gap_walk), label
@@ -488,3 +535,23 @@ def test_drift_orbit_steps_angle_plus_step():
     assert list(po.points) == [(Fraction(9, 10) + n * step) % 1
                                for n in range(4)]
     assert po.gap == Fraction(1, 1000)
+    # a drift starts on the circle and steps by a rational
+    with pytest.raises(MalformedPointError):
+        drift_orbit(sys_, Fraction(1), Fraction(1, 1000), 3)
+    with pytest.raises(CalibrationError, match="not rational"):
+        drift_orbit(sys_, Fraction(9, 10), QuadraticNumber(5, 0, 1, 10**4), 3)
+
+
+def test_points_are_made_when_read():
+    sys_ = cat_map()
+    x = sys_.point(Fraction(1, 5), Fraction(3, 5))
+    po = perturbed_orbit(sys_, x, -3, 7, Fraction(1, 100), 42)
+    pts = po.points
+    assert len(pts) == 11 and pts._all is None
+    assert [pts[-11], pts[10], pts[-1]] == [po.point(-3), po.point(7),
+                                           po.point(7)]
+    with pytest.raises(IndexError):
+        pts[11]
+    assert pts._all is None
+    assert pts == tuple(pts) and pts == list(pts) and pts == pts[:]
+    assert pts != tuple(pts)[1:] and pts != "points"

@@ -347,10 +347,10 @@ def _toral_cases(name):
 def test_integer_lane_matches_generic_walk(name):
     sys, cases = _toral_cases(name)
     for label, (points, tracer) in cases.items():
-        assert encode_scalar(sys.max_jump(points)) == \
+        assert encode_scalar(sys.max_jump(sys._integer_vectors(points))) == \
             encode_scalar(_generic_gap(sys, points)), label
         walk = _tracer_deviations(sys, PseudoOrbit(sys, 0, points), tracer, 0)
-        assert [encode_scalar(d) for d in sys.orbit_deviations(tracer, points)] \
+        assert [encode_scalar(d) for d in sys.orbit_deviations(tracer, sys._integer_vectors(points))] \
             == [encode_scalar(d) for d in walk], label
         for a, start in itertools.product((0, -3, 4), repeat=2):
             po = PseudoOrbit(sys, a, points)
@@ -379,7 +379,7 @@ def test_integer_lane_orders_a_pell_near_tie():
                                          shifts)]
         want = _generic_max_deviation(sys, PseudoOrbit(sys, 0, points), x, 0)
         assert want == near + omega > near
-        assert encode_scalar(sys.max_orbit_deviation(x, points)) == \
+        assert encode_scalar(sys.max_orbit_deviation(x, sys._integer_vectors(points))) == \
             encode_scalar(want), j
 
 
@@ -404,7 +404,7 @@ def test_integer_lane_bounds_carry_the_sqrt_parts():
         po = PseudoOrbit(sys, 0, points)
         near, far = _tracer_deviations(sys, po, origin, 0)
         if far > near:  # theta < 1/2
-            assert encode_scalar(sys.max_orbit_deviation(origin, points)) \
+            assert encode_scalar(sys.max_orbit_deviation(origin, sys._integer_vectors(points))) \
                 == encode_scalar(far), j
 
 
@@ -422,9 +422,9 @@ def test_integer_lane_rounds_offsets_next_to_one_half():
     points = [sys.point(QuadraticNumber(5, -1 - s * a, s * b, 2), 0)
               for s in (1, -1)]
     walk = _tracer_deviations(sys, PseudoOrbit(sys, 0, points), origin, 0)
-    assert [encode_scalar(d) for d in sys.orbit_deviations(origin, points)] \
+    assert [encode_scalar(d) for d in sys.orbit_deviations(origin, sys._integer_vectors(points))] \
         == [encode_scalar(d) for d in walk]
-    assert encode_scalar(sys.max_orbit_deviation(origin, points)) == \
+    assert encode_scalar(sys.max_orbit_deviation(origin, sys._integer_vectors(points))) == \
         encode_scalar(max(walk))
 
 
@@ -437,15 +437,15 @@ def test_integer_lane_half_ties_and_one_point(name):
     for points in ([origin, sys.point(half, 0)],
                    [sys.point(half, half), origin],
                    [origin, sys.point(0, half), sys.point(half, Fraction(1, 3))]):
-        assert encode_scalar(sys.max_jump(points)) == \
+        assert encode_scalar(sys.max_jump(sys._integer_vectors(points))) == \
             encode_scalar(_generic_gap(sys, points))
         po = PseudoOrbit(sys, 0, points)
         for tracer in (origin, sys.point(half, half)):
             assert encode_scalar(_lane_max_deviation(sys, po, tracer, 0)) == \
                 encode_scalar(_generic_max_deviation(sys, po, tracer, 0))
     lone = sys.point(Fraction(1, 3), Fraction(2, 5))
-    assert sys.max_jump([lone]) == 0
-    assert encode_scalar(sys.max_jump([lone])) == \
+    assert sys.max_jump(sys._integer_vectors([lone])) == 0
+    assert encode_scalar(sys.max_jump(sys._integer_vectors([lone]))) == \
         encode_scalar(_generic_gap(sys, [lone]))
     po = PseudoOrbit(sys, 0, [lone])
     assert encode_scalar(po.gap) == "0"

@@ -223,9 +223,13 @@ def test_toral_sweep_matches_numpy_raster(matrix, epsilon):
     for X in range(1, 15):
         want = _numpy_sweep(np, sys, cover, X)
         try:
-            got = _toral_sweep(sys, cover, X)[0]
+            level = _toral_sweep(sys, cover, X)
         except BudgetExceededError:
             got = "budget"
+        else:
+            # the level keeps each witness's k; its parameter is k * step
+            got = level and {cell: k * level.step
+                             for cell, k in level.witnesses.items()}
         assert got == want, X
         found.append(want is not None and want != "budget")
     # both outcomes occur: early X values fail, later ones reach every cell
