@@ -10,11 +10,12 @@ their replay) goes through ``orbit``, ``deviations`` and ``max_deviation``.
 Everything here is exact: the gap is an exact scalar and recomputing it
 reproduces the cached value bit for bit.
 
-Tori and rotations track on integers: a pseudo-orbit of theirs carries an
-integer form over one denominator, which their kernels read instead of the
-points.  The toral lane of ``perturbed_orbit`` and ``drift_orbit`` build
-that form directly, and their points are made only when something reads
-them; explicit point lists are converted once, on first use.
+Gaps and maximal deviations are read off a pseudo-orbit's form by its
+system's tracking kernels (see ``systems``): shifts carry an edit form, tori
+and rotations an integer form over one denominator.  The shift and toral
+lanes of ``perturbed_orbit`` and ``drift_orbit`` build that form directly,
+and their points are made only when something reads them; explicit point
+lists are converted once, on first use.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ _JITTER_STEPS = 1 << 16
 _FLIP_SPAN = 8
 
 
-# Systems with ``max_jump`` and ``max_orbit_deviation`` on integers.
-_INTEGER_LANE = (ToralAutomorphism, CircleRotation)
-
-
 def orbit(sys, x, n: int, step: int = 1) -> list:
     """The points x, f^step(x), ..., f^(n*step)(x)."""
     pts = [x]
@@ -71,15 +68,15 @@ def max_deviation(sys, x, points):
 
 
 class _FormPoints(Sequence):
-    """The points of an integer form, each made only when it is read.
+    """The n points of a form, each made only when it is read.
 
-    ``form[1]`` holds one entry per point, and ``make(i)`` builds point i;
-    ``len`` reads no point.  It equals any sequence of the same points.
+    ``make(i)`` builds point i; ``len`` reads no point.  It equals any
+    sequence of the same points.
     """
 
-    def __init__(self, form, make):
+    def __init__(self, form, n: int, make):
         self.form = form
-        self._n = len(form[1])
+        self._n = n
         self._make = make
         self._all = None
 
@@ -108,8 +105,8 @@ class PseudoOrbit:
 
     The gap is computed on first access, and ``recompute_gap`` re-derives
     the same value from the definition.  ``points`` is a tuple, or for the
-    package's own toral and drift constructions a sequence whose points are
-    made on first read.
+    package's own shift, toral and drift constructions a sequence whose
+    points are made on first read.
     """
 
     def __init__(self, system, start: int, points):
@@ -126,17 +123,15 @@ class PseudoOrbit:
 
     @property
     def form(self):
-        """The integer form the kernels of tori and rotations read.
+        """The form the system's tracking kernels read.
 
-        A torus gives (den, us, vs) with y_(a+i) = (us[i] + vs[i]*sqrt(D))
-        / den coordinatewise, and a rotation (den, u) with y_(a+i) = u[i] /
-        den.  Explicit points are converted, and validated, on first use.
+        A shift gives its edit form, a torus (den, us, vs) with y_(a+i) =
+        (us[i] + vs[i]*sqrt(D)) / den coordinatewise, and a rotation
+        (den, u) with y_(a+i) = u[i] / den.  Explicit points go through the
+        system's ``tracking_form`` on first use.
         """
         if self._form is None:
-            sys = self.system
-            convert = sys._integer_vectors \
-                if isinstance(sys, ToralAutomorphism) else sys._integers
-            self._form = convert(self.points)
+            self._form = self.system.tracking_form(self.points)
         return self._form
 
     @property
@@ -159,29 +154,14 @@ class PseudoOrbit:
         return self.points[n - a]
 
     def recompute_gap(self):
-        """max_i d(f(y_i), y_{i+1}), re-derived from the points.
-
-        Tori and rotations take their integer lane (``max_jump``) on
-        ``form``; every other system takes the maximum of ``distance`` over
-        ``apply``.  Both give the same exact value.
-        """
-        sys = self.system
-        if isinstance(sys, _INTEGER_LANE):
-            return sys.max_jump(self.form)
-        jumps = [sys.distance(sys.apply(self.points[i]), self.points[i + 1])
-                 for i in range(len(self.points) - 1)]
-        return max(jumps, default=Fraction(0))
+        """max_i d(f(y_i), y_{i+1}), re-derived from the form by the
+        system's ``max_jump``."""
+        return self.system.max_jump(self.form)
 
     def max_deviation(self, x):
-        """The exact max_n d(f^n(x), y_(a+n)) over the points.
-
-        Tori and rotations take their integer lane, ``max_orbit_deviation``
-        on ``form``, and every other system the maximum of ``deviations``.
-        """
-        sys = self.system
-        if isinstance(sys, _INTEGER_LANE):
-            return sys.max_orbit_deviation(x, self.form)
-        return max(deviations(sys, x, self.points))
+        """The exact max_n d(f^n(x), y_(a+n)) over the points, read off the
+        form by the system's ``max_orbit_deviation``."""
+        return self.system.max_orbit_deviation(x, self.form)
 
 
 def from_true_orbit(sys, x, a: int, b: int) -> PseudoOrbit:
@@ -207,7 +187,7 @@ def drift_orbit(sys: CircleRotation, y0, step, length: int) -> PseudoOrbit:
     u = [y0.numerator * (den // y0.denominator)]
     for _ in range(length):
         u.append((u[-1] + move) % den)
-    return PseudoOrbit(sys, 0, _FormPoints((den, u),
+    return PseudoOrbit(sys, 0, _FormPoints((den, u), len(u),
                                            lambda i: Fraction(u[i], den)))
 
 
@@ -222,57 +202,82 @@ def _perturb_rotation(sys: CircleRotation, po: PseudoOrbit, delta, rng):
                        [sys.point(p + _jitter(rng, h)) for p in po.points])
 
 
-def _perturb_sft(sys: ShiftSpace, po: PseudoOrbit, delta, rng):
+def _perturbed_sft(sys: ShiftSpace, x, a: int, b: int, delta, rng):
     # Flipping symbols at index <= -k or >= k+1 keeps every flip at distance
     # >= k from index 0 even after the one-step shift inside the gap
-    # computation, so the gap stays <= 2^-k <= delta.
+    # computation, so the gap stays <= 2^-k <= delta.  Point n is
+    # sigma^(a+n)(x) with its flips written over it: the flips are the
+    # orbit's edit form, and no point is made here.
+    sys.validate_point(x)
     k = 0
     while Fraction(1, 2**k) > delta:
         k += 1
-        if k > 64:
-            return po  # delta below representable flip depth; nothing to do
+        if k > 64:  # delta below representable flip depth; nothing to do
+            return from_true_orbit(sys, x, a, b)
     flips = [*range(-k - _FLIP_SPAN, -k + 1),
              *range(k + 1, k + _FLIP_SPAN + 2)]
+    # X holds x's symbols on [lo, hi), every index a flip or a neighbour
+    # of one reads.
+    lo, hi = a + flips[0] - 1, b + flips[-1] + 2
+    X = x.window(lo, hi - 1)
+    symbol = x.symbol
+
+    def read(i):
+        return X[i - lo] if lo <= i < hi else symbol(i)
+
     T = sys.transition
     alphabet = range(sys.alphabet_size)
-    out = []
-    for p in po.points:
-        # All flips go to one window list w, w[0] at index `base`.  A
-        # neighbour flipped earlier is read with its new symbol, as if each
-        # flip built its own point.  [start, end) follows the core span such
-        # a flip-by-flip rebuild would canonicalize to, so the one point
-        # built at the end is that rebuild's point, offset included.
-        s0, e0 = start, end = p.core_span()
-        base = min(start, flips[0] - 1)
-        w = list(p.window(base, max(end, flips[-1] + 2) - 1))
-        P, Q = len(p.left), len(p.right)
-        flipped = False
+    allowed = {}  # (before, old, after) -> the symbols a flip may write
+    bits, pick = rng.getrandbits, rng.randrange
+    form = []
+    for s in range(a, b + 1):
+        # A flip is admitted against both current neighbours: the one
+        # before may already be flipped, the one after is not yet.
+        edits = {}
         for j in flips:
-            if not rng.getrandbits(1):
+            if not bits(1):
                 continue
-            i = j - base
-            old, before, after = w[i], w[i - 1], w[i + 1]
-            allowed = [s for s in alphabet
-                       if s != old and T[before][s] and T[s][after]]
-            if not allowed:
-                continue
-            w[i] = allowed[rng.randrange(len(allowed))]
-            flipped = True
-            # Strip the widened core where it agrees with a tail, as
-            # SymbolicPoint's canonical form does.
-            lo, end = min(start, j), max(end, j + 1)
-            while end > lo and w[end - 1 - base] == p.right[(end - 1 - e0) % Q]:
-                end -= 1
-            start = lo
-            while start < end and w[start - base] == p.left[(start - s0) % P]:
-                start += 1
-        q = p
-        if flipped:
-            left, right = p.tails_at(start, end)
-            q = SymbolicPoint(left, w[start - base:end - base], right, -start)
-        sys.validate_point(q)
-        out.append(q)
-    return PseudoOrbit(sys, po.start, out)
+            i = s + j - lo
+            key = edits.get(j - 1, X[i - 1]), X[i], X[i + 1]
+            choices = allowed.get(key)
+            if choices is None:
+                before, old, after = key
+                choices = allowed[key] = [c for c in alphabet if c != old
+                                          and T[before][c] and T[c][after]]
+            if choices:
+                edits[j] = choices[pick(len(choices))]
+        form.append((x, read, s, edits))
+    return PseudoOrbit(sys, a, _FormPoints(
+        form, len(form), lambda n: _edited_point(x, *form[n][2:])))
+
+
+def _edited_point(x, s: int, edits):
+    """The canonical point sigma^s(x) with ``edits`` written over it.
+
+    The edits go to one window list w, w[0] at index ``base``, in the order
+    they were drawn.  [start, end) follows the core span a rebuild per edit
+    (``with_symbol``) would canonicalize to, so the one point built at the
+    end is that rebuild's point, offset included.
+    """
+    p = x.shifted(s)
+    if not edits:
+        return p
+    s0, e0 = start, end = p.core_span()
+    base = min(start, *edits)
+    w = list(p.window(base, max(end - 1, *edits)))
+    P, Q = len(p.left), len(p.right)
+    for j, c in edits.items():
+        w[j - base] = c
+        # Strip the widened core where it agrees with a tail, as
+        # SymbolicPoint's canonical form does.
+        lo, end = min(start, j), max(end, j + 1)
+        while end > lo and w[end - 1 - base] == p.right[(end - 1 - e0) % Q]:
+            end -= 1
+        start = lo
+        while start < end and w[start - base] == p.left[(start - s0) % P]:
+            start += 1
+    left, right = p.tails_at(start, end)
+    return SymbolicPoint(left, w[start - base:end - base], right, -start)
 
 
 def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
@@ -283,7 +288,7 @@ def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
     # c + j*h/2^16 is one pair over L = lcm(Q, 2^16 * denominator(h)),
     # reduced to [0, 1) by one floor.  The pairs are the orbit's integer
     # form; no point is made here.
-    Q, ((x0, x1),), ((y0, y1),) = sys._integer_vectors([x])
+    Q, ((x0, x1),), ((y0, y1),) = sys.tracking_form([x])
     (m00, m01), (m10, m11) = sys.matrix_power(a)
     u0, u1 = (m00 * x0 + m01 * x1) % Q, (m10 * x0 + m11 * x1) % Q
     v0, v1 = m00 * y0 + m01 * y1, m10 * y0 + m11 * y1
@@ -322,7 +327,7 @@ def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
         return TorusPoint((QuadraticNumber(D, p0, q0, L),
                            QuadraticNumber(D, p1, q1, L)))
 
-    return PseudoOrbit(sys, a, _FormPoints((L, us, vs), make))
+    return PseudoOrbit(sys, a, _FormPoints((L, us, vs), len(us), make))
 
 
 def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:
@@ -330,10 +335,11 @@ def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:
 
     The true orbit's gap is 0, so the whole of delta is the jitter budget.
     Tori perturb on integer pairs over one denominator, for rational and
-    irrational x and delta alike, and keep them as the orbit's integer
-    form, so no point is made until one is read; the other families
-    perturb the ``from_true_orbit`` points.  A negative delta raises
-    CalibrationError, and delta = 0 gives the true orbit.
+    irrational x and delta alike, and shifts draw symbol flips on the
+    shifts of x; both keep what they draw as the orbit's form, so no point
+    is made until one is read.  Rotations perturb the ``from_true_orbit``
+    points.  A negative delta raises CalibrationError, and delta = 0 gives
+    the true orbit.
     """
     if a > b:
         raise ValueError(f"empty index range [{a}, {b}]")
@@ -344,14 +350,13 @@ def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:
     rng = random.Random(seed)
     if isinstance(sys, ToralAutomorphism):
         return _perturbed_toral(sys, x, a, b, delta, rng)
+    if isinstance(sys, ShiftSpace):
+        return _perturbed_sft(sys, x, a, b, delta, rng)
     if isinstance(sys, CircleRotation):
-        perturb = _perturb_rotation
-    elif isinstance(sys, ShiftSpace):
-        perturb = _perturb_sft
-    else:
-        raise UnsupportedSystemError(
-            f"perturbation is not defined for {type(sys).__name__}")
-    return perturb(sys, from_true_orbit(sys, x, a, b), delta, rng)
+        return _perturb_rotation(sys, from_true_orbit(sys, x, a, b), delta,
+                                 rng)
+    raise UnsupportedSystemError(
+        f"perturbation is not defined for {type(sys).__name__}")
 
 
 def concatenate(sys, segments: Sequence[tuple], connectors: Sequence[tuple]):

@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .barycenter import (BarycenterWitness, _heteroclinic_bound, as_periodic,
@@ -25,7 +26,8 @@ from .errors import SchemaMismatchError, ShadowspecError
 from .pseudo_orbits import PseudoOrbit, drift_orbit, perturbed_orbit
 from .scalars import parse_exact
 from .specification import check_specification
-from .systems import CircleRotation, ShiftSpace, ToralAutomorphism
+from .systems import (CircleRotation, ShiftSpace, SymbolicPoint,
+                      ToralAutomorphism)
 
 SCHEMA_VERSION = 1
 
@@ -198,9 +200,13 @@ def _rebuild_pseudo_orbit(sys, spec: dict) -> PseudoOrbit:
 
 
 def _replay_shadowing(sys, payload: dict) -> bool:
-    po = _rebuild_pseudo_orbit(sys, payload["pseudoOrbit"])
+    spec = payload["pseudoOrbit"]
     eps = decode_scalar(payload["epsilon"])
     delta = decode_scalar(payload["delta"])
+    # a seeded orbit is drawn at the record's delta, not at one of its own
+    if spec["kind"] == "seeded" and decode_scalar(spec["delta"]) != delta:
+        return False
+    po = _rebuild_pseudo_orbit(sys, spec)
     if not po.gap <= delta:
         return False
     tracer = decode_point(sys, payload["tracer"])
@@ -262,11 +268,16 @@ def _replay_heteroclinic(sys, payload: dict) -> bool:
     return encode_scalar(distance) == payload["distance"] and distance <= bound
 
 
+def _periodic_key(pt, k: int):
+    """A hashable value, equal for equal points, of a point x with
+    f^k(x) = x: a shift point's symbols at 0..k-1 fix it, and the other
+    families' points hash by value."""
+    return pt.window(0, k - 1) if isinstance(pt, SymbolicPoint) else pt
+
+
 def _replay_periodic(sys, payload: dict) -> bool:
     k = payload["k"]
     encodings = payload["points"]
-    if len(set(encodings)) != len(encodings):
-        return False
     if len(encodings) != payload["count"]:
         return False
     if payload["expectedCount"] != expected_periodic_count(sys, k):
@@ -276,14 +287,15 @@ def _replay_periodic(sys, payload: dict) -> bool:
     periods = payload["periods"]
     if len(periods) != len(encodings):
         return False
-    for text, period in zip(encodings, periods):
-        pt = decode_point(sys, text)
+    points = [decode_point(sys, text) for text in encodings]
+    for pt, period in zip(points, periods):
         # the least divisor d of k with f^d(x) = x; None unless f^k(x) = x
         least = next((d for d in range(1, k + 1)
                       if k % d == 0 and sys.apply(pt, d) == pt), None)
-        if least != period:
+        if least is None or least != period:
             return False
-    return True
+    # distinct as points, not as texts: "2/10,4/10" is "1/5,2/5" again
+    return len({_periodic_key(pt, k) for pt in points}) == len(points)
 
 
 def _replay_falsify(sys, payload: dict) -> bool:
@@ -317,6 +329,14 @@ _REPLAYERS = {
 }
 
 
+@lru_cache(maxsize=16)
+def _system_and_digest(description: str):
+    """The system a description names, with its digest: built once per
+    description, not once per record of a replay."""
+    sys = system_from_description(description)
+    return sys, system_digest(sys)
+
+
 def replay_verify_record(record: ReportRecord) -> bool:
     """Re-verify one record's claim from its own payload.
 
@@ -330,10 +350,10 @@ def replay_verify_record(record: ReportRecord) -> bool:
         raise SchemaMismatchError(
             f"schema version {record.schema_version} (expected {SCHEMA_VERSION})")
     description = record.parameters.get("system")
-    if description is None:
+    if not isinstance(description, str):
         raise SchemaMismatchError("record parameters carry no system description")
-    sys = system_from_description(description)
-    if system_digest(sys) != record.system_digest:
+    sys, digest = _system_and_digest(description)
+    if digest != record.system_digest:
         raise SchemaMismatchError("system digest does not match description")
     replayer = _REPLAYERS.get(record.check_kind)
     if replayer is None:

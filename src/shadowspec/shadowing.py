@@ -125,8 +125,9 @@ def shadow_sft(sys: ShiftSpace, po: PseudoOrbit, epsilon) -> ShadowingResult:
     _, eb = yb.core_span()
     lo = min(sa, 0)
     hi = max(eb, 1)
-    core = (ya.window(lo, -1) + tuple(p.symbol(0) for p in po.points)
-            + yb.window(1, hi - 1))
+    # the centre symbol of each y_m, read off the edit form
+    centre = tuple(e[0] if 0 in e else read(s) for _, read, s, e in po.form)
+    core = ya.window(lo, -1) + centre + yb.window(1, hi - 1)
     left, _ = ya.tails_at(lo, hi)
     _, right = yb.tails_at(lo, hi)
     tracer = SymbolicPoint(left, core, right, -(a + lo))

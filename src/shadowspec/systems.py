@@ -5,15 +5,18 @@ map (negative k uses the inverse), ``distance(x, y)`` evaluates the metric
 exactly, and ``validate_point(x)`` rejects points that do not belong to the
 space.  Everything downstream is written against this surface only, and
 compares an orbit with a reference sequence through ``pseudo_orbits.orbit``,
-``deviations`` and ``max_deviation``.  Tori and rotations also offer
-``max_jump`` and ``max_orbit_deviation``: the same maxima of ``distance`` over
-``apply``, on integers over one denominator, behind
-``PseudoOrbit.recompute_gap`` and ``PseudoOrbit.max_deviation``; tori also
-give the per-index values as ``orbit_deviations``.  These kernels read a
-pseudo-orbit's integer form, never its points: the form is built directly
-by the package's constructions, and points from outside go through one
-converter per family (``_integer_vectors``, ``_integers``), which validates
-each point once.
+``deviations`` and ``max_deviation``.
+
+Every family also speaks one tracking protocol, behind
+``PseudoOrbit.recompute_gap`` and ``PseudoOrbit.max_deviation``:
+``max_jump(form)`` and ``max_orbit_deviation(x, form)`` give the same maxima
+as ``distance`` over ``apply``, read off a pseudo-orbit's form rather than
+its points.  Shifts, tori and rotations each have their own form: shifts an
+edit form (each point a shift of a base point with a few symbols written
+over it), tori and rotations integers over one denominator; tori also give
+the per-index values as ``orbit_deviations``.  A permutation's form is its
+points.  The package's constructions build a form directly, and points from
+outside go through the family's one converter, ``tracking_form``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import MalformedPointError, NotHyperbolicError
@@ -41,6 +45,43 @@ def _primitive(word: Word) -> Word:
 def _cycle(word: Word, phase: int, n: int) -> Word:
     """n symbols of the periodic repetition of ``word``, from ``word[phase]``."""
     return (word * ((phase + n) // len(word) + 1))[phase:phase + n]
+
+
+def _scan_bound(span_u, u, span_v, v) -> int:
+    """Window radius that certifies two sequences equal if no mismatch
+    appears within it.
+
+    Sequence u reads the tails of the point u outside its span [lo, hi),
+    and v those of v outside its own.  Beyond both spans the sequences are
+    periodic, so agreement over one least common multiple of the tail
+    periods on each side extends to agreement everywhere on that side.
+    """
+    (s1, e1), (s2, e2) = span_u, span_v
+    right_edge = max(e1, e2) + lcm(len(u.right), len(v.right))
+    left_edge = min(s1, s2) - lcm(len(u.left), len(v.left))
+    return max(abs(right_edge), abs(left_edge)) + 1
+
+
+def _edit_span(p, s: int, edited) -> tuple[int, int]:
+    """[lo, hi) outside of which sigma^s(p), with symbols written over it at
+    the indices ``edited``, reads p's tails."""
+    start, end = p.core_span()
+    start, end = start - s, end - s
+    if edited:
+        start, end = min(start, min(edited)), max(end, max(edited) + 1)
+    return start, end
+
+
+def _first_difference(u, v, limit: int):
+    """The least k < limit with u(k) != v(k) or u(-k) != v(-k), else None."""
+    for k in range(limit):
+        if u(k) != v(k) or u(-k) != v(-k):
+            return k
+    return None
+
+
+# The edits of an unedited point in an edit form (see ShiftSpace).
+_NO_EDITS = MappingProxyType({})
 
 
 class SymbolicPoint:
@@ -161,17 +202,8 @@ class SymbolicPoint:
                 self.right[rs:] + self.right[:rs])
 
     def scan_bound(self, other: "SymbolicPoint") -> int:
-        """Window radius that certifies equality if no mismatch appears.
-
-        Beyond both cores the sequences are periodic, so agreement over one
-        least common multiple of the tail periods on each side extends to
-        agreement everywhere on that side.
-        """
-        s1, e1 = self.core_span()
-        s2, e2 = other.core_span()
-        right_edge = max(e1, e2) + lcm(len(self.right), len(other.right))
-        left_edge = min(s1, s2) - lcm(len(self.left), len(other.left))
-        return max(abs(right_edge), abs(left_edge)) + 1
+        """Window radius that certifies equality if no mismatch appears."""
+        return _scan_bound(self.core_span(), self, other.core_span(), other)
 
     def __eq__(self, other):
         if not isinstance(other, SymbolicPoint):
@@ -386,6 +418,81 @@ class ShiftSpace:
                 return Fraction(1, 2**k)
         return Fraction(0)
 
+    # -- tracking ------------------------------------------------------------
+    #
+    # The edit form holds one entry (base, read, s, edits) per point y_n:
+    # y_n is sigma^s(base) with the symbols of the dict ``edits`` (index ->
+    # symbol) written over it, and read(i) is base.symbol(i).  A seeded
+    # pseudo-orbit's entries share one base and one ``read`` over a window of
+    # its symbols, with s stepping by one; an explicit list gets one entry
+    # per point, its own base, with no edits.  An edit always differs from
+    # the base symbol it covers.  d(u, v) = 2^-k for the least
+    # |index| k where u and v differ, so each maximum below is 2^-(least k),
+    # and a scan stops at the least k found so far.
+
+    def tracking_form(self, points):
+        """The edit form of explicit points: each its own base, unedited.
+
+        The points are read as they are: their producers (``decode_point``,
+        ``point_through``, ``apply``) already give admissible points.
+        """
+        return [(p, p.symbol, 0, _NO_EDITS) for p in points]
+
+    def max_jump(self, form) -> Fraction:
+        """max_n d(sigma(y_n), y_(n+1)) over the points of the edit form
+        ``form``; 0 for one point."""
+        best = None
+        for (p, read, s, e), (q, read_q, t, g) in zip(form, form[1:]):
+            if read is read_q and t == s + 1:
+                # sigma(y_n) and y_(n+1) both read base symbol t + j at
+                # index j, so they can differ only where either is edited
+                # (and an edit differs from the base symbol it covers)
+                k = min((abs(j) for j in {*(i - 1 for i in e), *g}
+                         if e.get(j + 1) != g.get(j)), default=None)
+            else:
+                limit = best if best is not None else 1 + _scan_bound(
+                    _edit_span(p, s + 1, [i - 1 for i in e]), p,
+                    _edit_span(q, t, g), q)
+                k = _first_difference(
+                    lambda m: e[m + 1] if m + 1 in e else read(s + m + 1),
+                    lambda m: g[m] if m in g else read_q(t + m), limit)
+            if k is not None and (best is None or k < best):
+                best = k
+                if not k:
+                    break
+        return Fraction(0) if best is None else Fraction(1, 2**best)
+
+    def max_orbit_deviation(self, x: SymbolicPoint, form) -> Fraction:
+        """max_n d(sigma^n(x), y_n) over the points y_0, y_1, ... of the form.
+
+        Until a first difference is found each index scans as far as
+        ``distance`` would, which certifies a deviation of 0; from then on
+        the scan reads x's symbols from one window and stops below the least
+        k found so far.
+        """
+        best = window = None
+        for n, (p, read, s, e) in enumerate(form):
+            if window is None:
+                bound = _scan_bound(_edit_span(x, n, ()), x,
+                                    _edit_span(p, s, e), p)
+                best = _first_difference(
+                    lambda m: x.symbol(n + m),
+                    lambda m: e[m] if m in e else read(s + m), bound + 1)
+                if best is None:
+                    continue
+                lo = -best
+                window = x.window(lo, len(form) + best - 1)
+            else:
+                i = n - lo
+                for k in range(best):
+                    if window[i + k] != (e[k] if k in e else read(s + k)) or \
+                       window[i - k] != (e[-k] if -k in e else read(s - k)):
+                        best = k
+                        break
+            if not best:
+                break
+        return Fraction(0) if best is None else Fraction(1, 2**best)
+
     def describe(self) -> str:
         rows = ";".join("".join(str(v) for v in row) for row in self.transition)
         return f"sft r={self.alphabet_size} T={rows}"
@@ -414,7 +521,7 @@ def _mat_mul(A, B):
 # every toral tracer, built or replayed, is measured by that one walk.
 # Pseudo-orbits reach these kernels as their integer form (den, us, vs):
 # ``perturbed_orbit`` builds it from its jitter draws, and explicit or
-# decoded points are converted once by ``_integer_vectors``.
+# decoded points are converted once by ``tracking_form``.
 
 
 def _sq_dist_to_int(D: int, u: int, v: int, den: int) -> tuple[int, int]:
@@ -603,7 +710,7 @@ class ToralAutomorphism:
             total = total + w * w
         return SqrtVal(total)
 
-    def _integer_vectors(self, points):
+    def tracking_form(self, points):
         """(den, us, vs) with point i equal to (us[i] + vs[i]*sqrt(D)) / den.
 
         This is the one conversion of points into the integer form the
@@ -647,7 +754,7 @@ class ToralAutomorphism:
         with U mod den (a lattice translate) and V exact.  k is the largest
         bit length of a V plus 64, and S = isqrt(D * 4^k).
         """
-        qx, ((u0, u1),), ((v0, v1),) = self._integer_vectors([x])
+        qx, ((u0, u1),), ((v0, v1),) = self.tracking_form([x])
         q, us, vs = form
         den = lcm(qx, q)
         s, m = den // qx, den // q
@@ -741,7 +848,7 @@ class CircleRotation:
         t = abs(x - y)
         return min(t, 1 - t)
 
-    def _integers(self, points):
+    def tracking_form(self, points):
         """(den, u) with point i equal to u[i] / den, den a multiple of the
         angle's denominator: the one conversion of points into the integer
         form the kernels below read, each point validated here, once."""
@@ -828,6 +935,25 @@ class PermutationSystem:
         self.validate_point(x)
         self.validate_point(y)
         return Fraction(0) if x == y else Fraction(1)
+
+    def tracking_form(self, points) -> tuple:
+        """The points themselves, each validated here, once."""
+        for x in points:
+            self.validate_point(x)
+        return tuple(points)
+
+    def max_jump(self, form) -> Fraction:
+        """1 if some f(y_i) is not y_(i+1), else 0."""
+        return Fraction(any(self.images[y] != z for y, z in zip(form, form[1:])))
+
+    def max_orbit_deviation(self, x: int, form) -> Fraction:
+        """1 if some f^n(x) is not y_n, else 0."""
+        self.validate_point(x)
+        for y in form:
+            if x != y:
+                return Fraction(1)
+            x = self.images[x]
+        return Fraction(0)
 
     def describe(self) -> str:
         return f"permutation {' '.join(str(v) for v in self.images)}"

@@ -3,10 +3,12 @@ and orbit deviations."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowspec import pseudo_orbits
 from shadowspec.codecs import decode_point, encode_point, encode_scalar
 from shadowspec.errors import (
     CalibrationError,
@@ -16,7 +18,6 @@ from shadowspec.errors import (
 from shadowspec.pseudo_orbits import (
     _FLIP_SPAN,
     PseudoOrbit,
-    _perturb_sft,
     concatenate,
     deviations,
     drift_orbit,
@@ -164,7 +165,8 @@ class TestPerturb:
 
 
 def _perturb_sft_by_flips(sys, po, delta, rng):
-    """Slow oracle for ``_perturb_sft``: one ``with_symbol`` rebuild per flip."""
+    """Slow oracle for the shift lane of ``perturbed_orbit``: one
+    ``with_symbol`` rebuild per flip on each point of ``po``."""
     k = 0
     while Fraction(1, 2**k) > delta:
         k += 1
@@ -187,11 +189,23 @@ def _perturb_sft_by_flips(sys, po, delta, rng):
     return PseudoOrbit(sys, po.start, out)
 
 
-def _assert_same_perturbation(sys, po, delta, rng_fast, rng_slow):
-    fast = _perturb_sft(sys, po, delta, rng_fast)
-    slow = _perturb_sft_by_flips(sys, po, delta, rng_slow)
+def _perturbed_with(monkeypatch, rng, sys, x, a, b, delta):
+    """``perturbed_orbit`` drawing from ``rng`` instead of its seeded one."""
+    with monkeypatch.context() as m:
+        m.setattr(pseudo_orbits, "random",
+                  SimpleNamespace(Random=lambda seed: rng))
+        return perturbed_orbit(sys, x, a, b, delta, 0)
+
+
+def _assert_same_perturbation(monkeypatch, sys, x, a, b, delta, rng_fast,
+                              rng_slow):
+    fast = _perturbed_with(monkeypatch, rng_fast, sys, x, a, b, delta)
+    slow = _perturb_sft_by_flips(sys, from_true_orbit(sys, x, a, b), delta,
+                                 rng_slow)
     assert [encode_point(sys, q) for q in fast.points] == \
         [encode_point(sys, q) for q in slow.points]
+    for q in fast.points:
+        sys.validate_point(q)
     assert fast.gap == slow.gap
 
 
@@ -237,31 +251,44 @@ class TestPerturbSftOracle:
         return starts
 
     @pytest.mark.parametrize("name", ["full", "golden", "sft3"])
-    def test_batched_flips_match_per_flip_rebuilds(self, name):
+    def test_batched_flips_match_per_flip_rebuilds(self, name, monkeypatch):
         sys_ = self.SYSTEMS[name]
         draw = random.Random(name)
         for x in self._starts(name, draw):
             sys_.validate_point(x)
-            base = from_true_orbit(sys_, x, -6, 6)
             for k in range(9):
                 for _ in range(3):
                     seed = draw.randrange(2**32)
                     fast, slow = random.Random(seed), random.Random(seed)
-                    _assert_same_perturbation(sys_, base, Fraction(1, 2**k),
-                                              fast, slow)
+                    _assert_same_perturbation(monkeypatch, sys_, x, -6, 6,
+                                              Fraction(1, 2**k), fast, slow)
                     assert fast.getstate() == slow.getstate()
 
-    def test_span_follows_each_rebuild(self):
+    def test_span_follows_each_rebuild(self, monkeypatch):
         # Flips at 3 and 5 clear the core 101 on [3, 6).  A rebuild per flip
         # strips the core to [5, 6) after the first flip, so the all-zero
         # result sits at offset -5, not at the -3 of the starting core.
         sys_ = full_shift(2)
-        po = PseudoOrbit(sys_, 0, (SymbolicPoint((0,), (1, 0, 1), (0,), -3),))
+        x = SymbolicPoint((0,), (1, 0, 1), (0,), -3)
         bits = [0] * 9 + [1, 0, 1] + [0] * 6
-        _assert_same_perturbation(sys_, po, Fraction(1, 4),
+        _assert_same_perturbation(monkeypatch, sys_, x, 0, 0, Fraction(1, 4),
                                   _ScriptedRng(bits), _ScriptedRng(bits))
-        q = _perturb_sft(sys_, po, Fraction(1, 4), _ScriptedRng(bits)).points[0]
+        q = _perturbed_with(monkeypatch, _ScriptedRng(bits), sys_, x, 0, 0,
+                            Fraction(1, 4)).points[0]
         assert encode_point(sys_, q) == "0~-~0@-5"
+
+    def test_a_flip_carried_by_the_shift_is_no_jump(self, monkeypatch):
+        # delta 1/4 flips indices -10..-2 and 3..11.  y_0 flips index 4 and
+        # y_1 index 3, so sigma(y_0) = y_1: both are edited at index 3, with
+        # one symbol, and the gap is 0
+        sys_ = full_shift(2)
+        bits = [0] * 10 + [1] + [0] * 7 + [0] * 9 + [1] + [0] * 8
+        po = _perturbed_with(monkeypatch, _ScriptedRng(bits), sys_,
+                             SymbolicPoint.periodic((0,)), 0, 1,
+                             Fraction(1, 4))
+        y0, y1 = po.points
+        assert sys_.apply(y0) == y1 != y0
+        assert po.gap == 0
 
 
 def _perturbed_by_field(sys, x, a, b, delta, seed):
@@ -327,12 +354,13 @@ class TestPerturbedOrbit:
                     list(sys_.orbit_deviations(y, explicit.form))
 
     def test_non_toral_falls_back(self):
-        # the other families perturb the true orbit with the seeded draws
+        # shifts and rotations make the seeded draws of their oracles
         gm = golden_mean_shift()
         x = gm.point_through((0, 0, 1), at=0)
         lane = perturbed_orbit(gm, x, -2, 12, Fraction(1, 8), 7)
         base = from_true_orbit(gm, x, -2, 12)
-        oracle = _perturb_sft(gm, base, Fraction(1, 8), random.Random(7))
+        oracle = _perturb_sft_by_flips(gm, base, Fraction(1, 8),
+                                       random.Random(7))
         assert lane.points == oracle.points
         rot = CircleRotation(Fraction(2, 7))
         lane = perturbed_orbit(rot, Fraction(1, 3), 0, 20, Fraction(1, 50), 5)
@@ -497,7 +525,7 @@ def _rotation_lane_cases(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rotation_lane_matches_distance_walk(seed):
     for label, sys_, x, pts in _rotation_lane_cases(seed):
-        form = sys_._integers(pts)
+        form = sys_.tracking_form(pts)
         dev = sys_.max_orbit_deviation(x, form)
         walk = _rotation_walk(sys_, x, pts)
         assert type(dev) is Fraction and dev == walk, label
@@ -555,3 +583,61 @@ def test_points_are_made_when_read():
     assert pts._all is None
     assert pts == tuple(pts) and pts == list(pts) and pts == pts[:]
     assert pts != tuple(pts)[1:] and pts != "points"
+
+
+# -- the shift tracking kernels -----------------------------------------------
+
+_SHIFTS = {"full2": full_shift(2), "golden": golden_mean_shift(),
+           "full3": full_shift(3)}
+
+
+def _shift_gap_walk(sys_, points):
+    """max_i d(sigma(y_i), y_(i+1)) through ``apply`` and ``distance``: the
+    oracle for ``ShiftSpace.max_jump``."""
+    return max((sys_.distance(sys_.apply(y), z)
+                for y, z in zip(points, points[1:])), default=Fraction(0))
+
+
+@st.composite
+def _shift_point(draw, sys_):
+    """A point through a short admissible word, or a periodic point at any
+    offset (its texts differ where the points do not)."""
+    word = [draw(st.integers(0, sys_.alphabet_size - 1))]
+    for _ in range(draw(st.integers(0, 6))):
+        word.append(draw(st.sampled_from(sys_.successors(word[-1]))))
+    if draw(st.booleans()) and sys_.transition[word[-1]][word[0]]:
+        return SymbolicPoint.periodic(word).shifted(draw(st.integers(-5, 5)))
+    return sys_.point_through(word, at=draw(st.integers(-12, 12)))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_shift_kernels_match_distance_walk(data):
+    sys_ = _SHIFTS[data.draw(st.sampled_from(sorted(_SHIFTS)))]
+    x = data.draw(_shift_point(sys_))
+    a = data.draw(st.integers(-6, 6))
+    b = a + data.draw(st.integers(0, 20))
+    delta = Fraction(1, 2 ** data.draw(st.integers(0, 8)))
+    seeded = perturbed_orbit(sys_, x, a, b, delta,
+                             data.draw(st.integers(0, 2**32 - 1)))
+    others = [data.draw(_shift_point(sys_))
+              for _ in range(data.draw(st.integers(1, 5)))]
+    orbits = {
+        "seeded": seeded,
+        "seeded as a list": PseudoOrbit(sys_, a, tuple(seeded.points)),
+        # every jump and, traced from sigma^a(x), every deviation is 0
+        "true": from_true_orbit(sys_, x, a, b),
+        "unrelated": PseudoOrbit(sys_, 0, others),
+    }
+    tracers = [sys_.apply(x, a), seeded.points[0], others[0],
+               data.draw(_shift_point(sys_))]
+    for label, po in orbits.items():
+        points = list(po.points)
+        gap = sys_.max_jump(po.form)
+        assert type(gap) is Fraction, label
+        assert gap == _shift_gap_walk(sys_, points), label
+        for t in tracers:
+            dev = sys_.max_orbit_deviation(t, po.form)
+            assert type(dev) is Fraction, label
+            assert dev == max(deviations(sys_, t, points)), (label, t)
+    assert orbits["true"].gap == orbits["true"].max_deviation(tracers[0]) == 0

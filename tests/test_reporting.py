@@ -27,6 +27,7 @@ from shadowspec.reporting import (
     SCHEMA_VERSION,
     ReportRecord,
     _rebuild_pseudo_orbit,
+    _system_and_digest,
     expected_periodic_count,
     jsonl_to_records,
     plot_csv,
@@ -44,6 +45,7 @@ from shadowspec.shadowing import shadow
 from shadowspec.systems import (
     CircleRotation,
     PermutationSystem,
+    ShiftSpace,
     ToralAutomorphism,
     _sq_dist_to_int,
     cat_map,
@@ -230,6 +232,74 @@ def test_replay_rejects_foreign_digest(shadow_records):
         replay_verify_record(forged)
 
 
+EXHAUSTIVE_CFG = (
+    "system.kind = sft\n"
+    "system.transition = 11;11\n"
+    "check.kind = check-shadowing\n"
+    "check.mode = exhaustive\n"
+    "check.width = 5\n"
+    "check.length = 3\n"
+    "check.delta = 1/4\n"
+    "check.epsilon = 1/2\n"
+)
+
+
+def test_replay_builds_each_system_once(monkeypatch):
+    # an exhaustive run writes one system description on every record
+    records = run_check(parse_config(EXHAUSTIVE_CFG))
+    assert len(records) > 100
+    built = []
+    real = ShiftSpace.__init__
+    monkeypatch.setattr(ShiftSpace, "__init__",
+                        lambda *args: built.append(1) or real(*args))
+    _system_and_digest.cache_clear()
+    assert replay_verify(records)
+    assert len(built) == 1
+    # the digest is still compared on every record, built or not
+    forged = dataclasses.replace(records[-1], system_digest="0" * 64)
+    with pytest.raises(SchemaMismatchError, match="digest"):
+        replay_verify_record(forged)
+    assert len(built) == 1
+
+
+def test_explicit_replay_checks_gap_against_delta():
+    # an explicit orbit carries no delta of its own to compare
+    records = run_check(parse_config(EXHAUSTIVE_CFG))
+    rec = next(r for r in records
+               if _rebuild_pseudo_orbit(full_shift(2),
+                                        r.witness_payload["pseudoOrbit"]).gap)
+    assert replay_verify_record(rec)
+    assert not replay_verify_record(_forge(rec, delta="1/1024"))
+
+
+def test_seeded_shift_run_and_replay_measure_no_distance(monkeypatch):
+    calls = []
+    real = ShiftSpace.distance
+    monkeypatch.setattr(ShiftSpace, "distance",
+                        lambda *args: calls.append(1) or real(*args))
+    records = run_check(parse_config(SHADOW_CFG))
+    assert replay_verify(records)
+    assert [r.outcome for r in records] == ["pass"] * 3
+    assert not calls
+
+
+def test_replay_rejects_a_seeded_delta_not_the_records(shadow_records):
+    # the true orbit from x (delta 0) is traced by x itself at deviation 0,
+    # which would pass every other check of a record that claims delta
+    for rec in shadow_records:
+        pl = rec.witness_payload
+        spec = {**pl["pseudoOrbit"], "delta": "0"}
+        assert replay_verify_record(rec)
+        assert not replay_verify_record(_forge(
+            rec, pseudoOrbit=spec, tracer=spec["x"], start=0,
+            maxDeviation="0"))
+        # the same delta in other text is the same delta
+        d = decode_scalar(pl["delta"])
+        same = {**pl["pseudoOrbit"],
+                "delta": f"{2 * d.numerator}/{2 * d.denominator}"}
+        assert replay_verify_record(_forge(rec, pseudoOrbit=same))
+
+
 def test_replay_rejects_unknown_pseudo_orbit_form(shadow_records):
     # a replayer's own SchemaMismatchError is not a claim found false
     rec = shadow_records[0]
@@ -347,10 +417,10 @@ def _toral_cases(name):
 def test_integer_lane_matches_generic_walk(name):
     sys, cases = _toral_cases(name)
     for label, (points, tracer) in cases.items():
-        assert encode_scalar(sys.max_jump(sys._integer_vectors(points))) == \
+        assert encode_scalar(sys.max_jump(sys.tracking_form(points))) == \
             encode_scalar(_generic_gap(sys, points)), label
         walk = _tracer_deviations(sys, PseudoOrbit(sys, 0, points), tracer, 0)
-        assert [encode_scalar(d) for d in sys.orbit_deviations(tracer, sys._integer_vectors(points))] \
+        assert [encode_scalar(d) for d in sys.orbit_deviations(tracer, sys.tracking_form(points))] \
             == [encode_scalar(d) for d in walk], label
         for a, start in itertools.product((0, -3, 4), repeat=2):
             po = PseudoOrbit(sys, a, points)
@@ -379,7 +449,7 @@ def test_integer_lane_orders_a_pell_near_tie():
                                          shifts)]
         want = _generic_max_deviation(sys, PseudoOrbit(sys, 0, points), x, 0)
         assert want == near + omega > near
-        assert encode_scalar(sys.max_orbit_deviation(x, sys._integer_vectors(points))) == \
+        assert encode_scalar(sys.max_orbit_deviation(x, sys.tracking_form(points))) == \
             encode_scalar(want), j
 
 
@@ -404,7 +474,7 @@ def test_integer_lane_bounds_carry_the_sqrt_parts():
         po = PseudoOrbit(sys, 0, points)
         near, far = _tracer_deviations(sys, po, origin, 0)
         if far > near:  # theta < 1/2
-            assert encode_scalar(sys.max_orbit_deviation(origin, sys._integer_vectors(points))) \
+            assert encode_scalar(sys.max_orbit_deviation(origin, sys.tracking_form(points))) \
                 == encode_scalar(far), j
 
 
@@ -422,9 +492,9 @@ def test_integer_lane_rounds_offsets_next_to_one_half():
     points = [sys.point(QuadraticNumber(5, -1 - s * a, s * b, 2), 0)
               for s in (1, -1)]
     walk = _tracer_deviations(sys, PseudoOrbit(sys, 0, points), origin, 0)
-    assert [encode_scalar(d) for d in sys.orbit_deviations(origin, sys._integer_vectors(points))] \
+    assert [encode_scalar(d) for d in sys.orbit_deviations(origin, sys.tracking_form(points))] \
         == [encode_scalar(d) for d in walk]
-    assert encode_scalar(sys.max_orbit_deviation(origin, sys._integer_vectors(points))) == \
+    assert encode_scalar(sys.max_orbit_deviation(origin, sys.tracking_form(points))) == \
         encode_scalar(max(walk))
 
 
@@ -437,15 +507,15 @@ def test_integer_lane_half_ties_and_one_point(name):
     for points in ([origin, sys.point(half, 0)],
                    [sys.point(half, half), origin],
                    [origin, sys.point(0, half), sys.point(half, Fraction(1, 3))]):
-        assert encode_scalar(sys.max_jump(sys._integer_vectors(points))) == \
+        assert encode_scalar(sys.max_jump(sys.tracking_form(points))) == \
             encode_scalar(_generic_gap(sys, points))
         po = PseudoOrbit(sys, 0, points)
         for tracer in (origin, sys.point(half, half)):
             assert encode_scalar(_lane_max_deviation(sys, po, tracer, 0)) == \
                 encode_scalar(_generic_max_deviation(sys, po, tracer, 0))
     lone = sys.point(Fraction(1, 3), Fraction(2, 5))
-    assert sys.max_jump(sys._integer_vectors([lone])) == 0
-    assert encode_scalar(sys.max_jump(sys._integer_vectors([lone]))) == \
+    assert sys.max_jump(sys.tracking_form([lone])) == 0
+    assert encode_scalar(sys.max_jump(sys.tracking_form([lone]))) == \
         encode_scalar(_generic_gap(sys, [lone]))
     po = PseudoOrbit(sys, 0, [lone])
     assert encode_scalar(po.gap) == "0"
@@ -646,6 +716,31 @@ def test_periodic_replay_checks_minimal_periods():
         assert _rejected(_forge(rec, **short, count=count - 1,
                                 expectedCount=count - 1))
         assert _rejected(_forge(rec, **short, count=count - 1))
+
+
+def test_periodic_replay_counts_distinct_points_by_value():
+    records = run_check(parse_config(PERIODIC_CFG))
+    rec = records[1]
+    pl = rec.witness_payload
+    assert pl["k"] == 2 and "2/5,4/5" in pl["points"]
+    points = [p.replace("2/5,4/5", "2/10,4/10") for p in pl["points"]]
+    assert replay_verify_record(rec)
+    assert _rejected(_forge(rec, points=points))
+
+
+def test_periodic_replay_counts_distinct_shift_points_by_value():
+    # the 2-cycle 01 and 10 of the full 2-shift: 01~-~01@2 is 01~-~01@0
+    (_, rec) = run_check(parse_config(
+        "system.kind = sft\nsystem.transition = 11;11\n"
+        "check.kind = periodic-points\ncheck.maxPeriod = 2\n"))
+    pl = rec.witness_payload
+    assert pl["points"][1:3] == ["01~-~01@0", "10~-~10@0"]
+    assert replay_verify_record(rec)
+    points = [pl["points"][0], "01~-~01@0", "01~-~01@2", pl["points"][3]]
+    assert _rejected(_forge(rec, points=points))
+    # a point of no period k at all is not counted either
+    points = [*pl["points"][:3], "0~1~0@0"]
+    assert _rejected(_forge(rec, points=points, periods=[1, 2, 2, None]))
 
 
 def test_replay_rejects_square_radicand(shadow_records):

@@ -291,6 +291,20 @@ class TestPermutation:
         assert perm.distance(0, 0) == 0
         assert perm.distance(0, 1) == 1
 
+    def test_tracking_kernels_match_distance_walk(self):
+        perm = PermutationSystem([1, 2, 0, 4, 3])
+        for points in ([0, 1, 2, 0], [3, 4, 4], [2]):
+            form = perm.tracking_form(points)
+            assert perm.max_jump(form) == max(
+                (perm.distance(perm.apply(y), z)
+                 for y, z in zip(points, points[1:])), default=0)
+            for x in range(5):
+                assert perm.max_orbit_deviation(x, form) == max(
+                    perm.distance(perm.apply(x, n), y)
+                    for n, y in enumerate(points))
+        with pytest.raises(MalformedPointError):
+            perm.tracking_form([0, 5])
+
     def test_rejects_non_bijections(self):
         with pytest.raises(ValueError):
             PermutationSystem([0, 0, 1])
