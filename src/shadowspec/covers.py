@@ -1,103 +1,48 @@
-"""Finite covers by cylinders or grid boxes, with exact cell geometry.
+"""Finite covers by cylinders or grid boxes, indexed by arithmetic.
 
 A cover is the combinatorial backbone of the specification construction:
-connectors only need to land in the right cell, so cells carry membership
-tests, a canonical representative, and an exact diameter used in seam
-accounting.
+connectors only need to land in the right cell, so a cover is no more than
+the rule ``locate`` that numbers the cell containing a point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, UnsupportedSystemError
 from .scalars import SqrtVal
-from .systems import ShiftSpace, SymbolicPoint, ToralAutomorphism, TorusPoint
+from .systems import ShiftSpace, ToralAutomorphism
 
 CELL_BUDGET = 65536
 
 
-def _branch_distance(sys: ShiftSpace, start: int, forward: bool) -> int | None:
-    """Least number of steps from ``start`` to a symbol with two links.
-
-    None when every continuation is forced forever (pure cycle), in which
-    case the cell cannot spread on that side at all.
-    """
-    degree = sys.successors if forward else sys.predecessors
-    seen = {start}
-    frontier = [start]
-    dist = 0
-    while frontier:
-        for s in frontier:
-            if len(degree(s)) >= 2:
-                return dist
-        nxt = []
-        for s in frontier:
-            for t in degree(s):
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-        dist += 1
-    return None
-
-
-@dataclass(frozen=True)
-class CylinderCell:
-    """All sequences showing ``word`` on the window [-w, w]."""
-
-    word: tuple
-    w: int
-    diameter: Fraction
-
-    def contains(self, x: SymbolicPoint) -> bool:
-        return x.window(-self.w, self.w) == self.word
-
-    def representative(self, sys: ShiftSpace) -> SymbolicPoint:
-        return sys.point_through(self.word, at=-self.w)
-
-
-@dataclass(frozen=True)
-class BoxCell:
-    """Half-open axis box prod_i [lower_i, lower_i + side)."""
-
-    lower: tuple
-    side: Fraction
-    diameter: SqrtVal
-
-    def contains(self, x: TorusPoint) -> bool:
-        return all(lo <= c and c < lo + self.side
-                   for lo, c in zip(self.lower, x.coords))
-
-    def representative(self, sys: ToralAutomorphism) -> TorusPoint:
-        return sys.point(*self.lower)
-
-
 class Cover:
-    """An indexed list of disjoint cells covering the whole space."""
+    """A numbering of disjoint cells covering the whole space.
 
-    def __init__(self, system, target_delta, cells):
+    A shift cover's cell i is the cylinder of all sequences showing
+    ``words[i]`` on the window [-w, w].  A toral cover's cell i is the
+    half-open box of side 1/per with lower corner (i // per, i % per)/per.
+    """
+
+    def __init__(self, system, target_delta, *, w: int = 0, words=(),
+                 per: int = 0):
         self.system = system
         self.target_delta = target_delta
-        self.cells = tuple(cells)
-        if isinstance(system, ShiftSpace):
-            self._index = {c.word: i for i, c in enumerate(self.cells)}
-        else:
-            self._per_axis = round(1 / self.cells[0].side)
+        self.w = w
+        self.words = tuple(words)
+        self.per = per
+        self._index = {word: i for i, word in enumerate(self.words)}
 
     def __len__(self):
-        return len(self.cells)
+        return len(self.words) or self.per * self.per
 
     def locate(self, x) -> int:
         """Index of the unique cell containing ``x``."""
-        if isinstance(self.system, ShiftSpace):
-            w = self.cells[0].w
-            return self._index[x.window(-w, w)]
-        side = self.cells[0].side
+        if self.words:
+            return self._index[x.window(-self.w, self.w)]
         idx = 0
         for c in x.coords:
-            idx = idx * self._per_axis + (c / side).floor()
+            idx = idx * self.per + (c * self.per).floor()
         return idx
 
 
@@ -120,14 +65,7 @@ def build_cover(sys, delta, budget: int = CELL_BUDGET) -> Cover:
             raise BudgetExceededError(
                 f"{count} cylinders of window {2 * w + 1} exceed the "
                 f"budget of {budget} cells")
-        cells = []
-        for word in sys.words(2 * w + 1):
-            fwd = _branch_distance(sys, word[-1], forward=True)
-            bwd = _branch_distance(sys, word[0], forward=False)
-            spread = [w + 1 + d for d in (fwd, bwd) if d is not None]
-            diam = Fraction(1, 2 ** min(spread)) if spread else Fraction(0)
-            cells.append(CylinderCell(word, w, diam))
-        return Cover(sys, delta, cells)
+        return Cover(sys, delta, w=w, words=sys.words(2 * w + 1))
     if isinstance(sys, ToralAutomorphism):
         j = 0
         while not SqrtVal(Fraction(2, 4**j)) < delta:
@@ -137,11 +75,7 @@ def build_cover(sys, delta, budget: int = CELL_BUDGET) -> Cover:
             raise BudgetExceededError(
                 f"a grid of side 2^-{j} needs {per * per} cells, over "
                 f"the budget of {budget}")
-        side = Fraction(1, per)
-        diam = SqrtVal(2 * side * side)
-        cells = [BoxCell((Fraction(kx, per), Fraction(ky, per)), side, diam)
-                 for kx in range(per) for ky in range(per)]
-        return Cover(sys, delta, cells)
+        return Cover(sys, delta, per=per)
     raise UnsupportedSystemError(
         f"no cover construction for {type(sys).__name__}")
 

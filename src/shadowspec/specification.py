@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .covers import Cover, build_cover
 from .errors import (
@@ -30,6 +30,7 @@ from .systems import ShiftSpace, ToralAutomorphism
 DEFAULT_LEVELS = 4
 DEFAULT_HORIZON = 100_000
 _SWEEP_CAP = 1 << 24
+_RASTER_BITS = 64  # K of _cell_raster's S = floor(2^K sqrt(D))
 
 
 @dataclass(frozen=True)
@@ -86,48 +87,43 @@ class TransitionSchedule:
         return lv.entries[self._type_key(i, j)]
 
     def _type_key(self, i: int, j: int):
-        cells = self.cover.cells
-        return (cells[j].word[-1], cells[i].word[0])
+        words = self.cover.words
+        return (words[j][-1], words[i][0])
 
     def witness(self, n: int, i: int, j: int):
         """A point of cell ``j`` whose X-step image lies in cell ``i``."""
         lv = self._level(n)
-        cells = self.cover.cells
+        cover = self.cover
         if isinstance(lv, _SftLevel):
-            X = self.entry(n, i, j)
-            w = cells[i].w
-            word = (cells[j].word + lv.bridges[self._type_key(i, j)]
-                    + cells[i].word)
-            return self.system.point_through(word, at=-w)
+            words = cover.words
+            word = words[j] + lv.bridges[self._type_key(i, j)] + words[i]
+            return self.system.point_through(word, at=-cover.w)
         sys = self.system
-        X = lv.x_value
-        lower_j = cells[j].lower
-        img = tuple((m0 * lower_j[0] + m1 * lower_j[1]) % 1
-                    for m0, m1 in sys.matrix_power(X))
-        target = tuple((a - b) % 1 for a, b in zip(cells[i].lower, img))
-        per = round(1 / cells[0].side)
-        flat = 0
-        for c in target:
-            flat = flat * per + round(c * per)
+        per = cover.per
+        # A^X maps the grid (Z/per)^2 to itself, so the offset from the
+        # image of corner j to corner i is a grid point too
+        jx, jy = divmod(j, per)
+        img = [(m0 * jx + m1 * jy) % per
+               for m0, m1 in sys.matrix_power(lv.x_value)]
+        flat = ((i // per - img[0]) % per) * per + (i % per - img[1]) % per
         t = lv.witnesses[flat] * lv.step
         sp = sys.hyperbolic_splitting()
-        base = (sys.scalar(t), lv.base_y + t * sp.v_u[1])
-        return sys.point(base[0] + lower_j[0], base[1] + lower_j[1])
+        return sys.point(sys.scalar(t) + Fraction(jx, per),
+                         lv.base_y + t * sp.v_u[1] + Fraction(jy, per))
 
     def verify_entry(self, n: int, i: int, j: int) -> bool:
         """Replay one schedule entry: membership at both ends."""
         y = self.witness(n, i, j)
         X = self.entry(n, i, j)
-        cells = self.cover.cells
-        return (cells[j].contains(y)
-                and cells[i].contains(self.system.apply(y, X)))
+        locate = self.cover.locate
+        return locate(y) == j and locate(self.system.apply(y, X)) == i
 
 
 def _sft_type_counts(cover: Cover):
     """How many cells exit on / enter with each symbol, plus the diagonal."""
     first, last, both = {}, {}, {}
-    for cell in cover.cells:
-        a, b = cell.word[-1], cell.word[0]
+    for word in cover.words:
+        a, b = word[-1], word[0]
         last[a] = last.get(a, 0) + 1
         first[b] = first.get(b, 0) + 1
         both[(a, b)] = both.get((a, b), 0) + 1
@@ -139,8 +135,8 @@ def _sft_pair_of_type(cover: Cover, a: int, b: int, off_diagonal: bool):
 
     Callers pass only types that such a pair realizes.
     """
-    targets = [i for i, c in enumerate(cover.cells) if c.word[0] == b]
-    sources = [j for j, c in enumerate(cover.cells) if c.word[-1] == a]
+    targets = [i for i, word in enumerate(cover.words) if word[0] == b]
+    sources = [j for j, word in enumerate(cover.words) if word[-1] == a]
     for i in targets:
         for j in sources:
             if not off_diagonal or i != j:
@@ -149,7 +145,7 @@ def _sft_pair_of_type(cover: Cover, a: int, b: int, off_diagonal: bool):
 
 def _sft_level(sys: ShiftSpace, cover: Cover, n: int, m_prev: int,
                prev: dict, horizon: int) -> _SftLevel:
-    w = cover.cells[0].w
+    w = cover.w
     first, last, both = _sft_type_counts(cover)
     off_types, diag_types = [], []
     for a in last:
@@ -199,17 +195,37 @@ def _sft_level(sys: ShiftSpace, cover: Cover, n: int, m_prev: int,
     return _SftLevel(entries, bridges, threshold)
 
 
-def _cell_lane(D: int, per: int, base, slope):
-    """k -> floor(per * frac(base + k*slope)), for base and slope in Q(sqrt(D)).
+def _cell_raster(D: int, per: int, base, slope):
+    """Yield floor(per * frac(base + k*slope)) for k = 0, 1, 2, ...
 
-    per * (base + k*slope) is (u + k*du + (v + k*dv)*sqrt(D)) / R over one
-    denominator R, and floor(per * frac(x)) = floor(per * x) mod per.
+    base and slope lie in Q(sqrt(D)), and per * (base + k*slope) is
+    (u + k*du + (v + k*dv)*sqrt(D)) / R over one denominator R.  With
+    S = floor(2^K sqrt(D)), N = 2^K (u + k*du) + (v + k*dv) S falls short of
+    2^K R times that value by (v + k*dv) theta, 0 < theta < 1.  So the
+    floor is N // (2^K R) unless N and the value lie on two sides of a
+    multiple of 2^K R; there ``_floor_quad`` decides.  N steps by one
+    constant per k and is kept mod per * 2^K R.
     """
     a, b = per * base, per * slope
     R = lcm(a.r, b.r)
     u, v = a.p * (R // a.r), a.q * (R // a.r)
     du, dv = b.p * (R // b.r), b.q * (R // b.r)
-    return lambda k: _floor_quad(D, u + k * du, v + k * dv, R) % per
+    K = _RASTER_BITS
+    S = isqrt(D << 2 * K)
+    unit = R << K
+    span = per * unit
+    n = ((u << K) + v * S) % span
+    dn = ((du << K) + dv * S) % span
+    while True:
+        col, rem = divmod(n, unit)
+        if not 0 <= rem + v <= unit:
+            col = _floor_quad(D, u, v, R) % per
+        yield col
+        n += dn
+        if n >= span:
+            n -= span
+        u += du
+        v += dv
 
 
 def _toral_sweep(sys: ToralAutomorphism, cover: Cover,
@@ -217,17 +233,16 @@ def _toral_sweep(sys: ToralAutomorphism, cover: Cover,
     """The level of uniform time X, when the base box reaches every cell.
 
     Trial points sit on the unstable strand through the base box, at
-    parameters t = k * step; a float raster proposes the first k landing in
-    each cell, and the candidates are verified in exact arithmetic, earliest
-    first, before they count: the image of candidate k is affine in k, so
-    ``_cell_lane`` gives its cell by one isqrt per coordinate.  The level
-    keeps each witness as its k.  Returns None when some cell stays
+    parameters t = k * step for k < k_count.  The image of trial point k is
+    affine in k, so ``_cell_raster`` walks each coordinate's cell exactly
+    on integers; the level keeps the first k landing in each cell, and
+    stops once every cell has one.  Returns None when some cell stays
     unreached at this sampling density.
     """
     sp = sys.hyperbolic_splitting()
     sigma = sp.v_u[1]
-    side = cover.cells[0].side
-    per = round(1 / side)
+    per = cover.per
+    side = Fraction(1, per)
     sig_ub = Fraction((abs(sigma) * 2**20).floor() + 1, 2**20)
     t_max = side / (2 * (1 + sig_ub))
     y0 = Fraction(0) if sigma.sign() >= 0 else t_max * sig_ub
@@ -239,8 +254,8 @@ def _toral_sweep(sys: ToralAutomorphism, cover: Cover,
     base_x = sys.scalar(M[0][1]) * y0   # image of (0, y0)
     base_y = sys.scalar(M[1][1]) * y0
 
-    raw = 4 * float(t_max) * abs(float(lam_x)) * max(1.0, abs(float(sigma)))
-    k_count = max(per * per, int(raw / float(side)) + 1)
+    spread = 4 * t_max * abs(lam_x) * max(1, abs(sigma)) / side
+    k_count = max(per * per, spread.floor() + 1)
     if k_count > _SWEEP_CAP:
         raise BudgetExceededError(
             f"strand sweep at X = {X} needs {k_count} samples")
@@ -251,31 +266,15 @@ def _toral_sweep(sys: ToralAutomorphism, cover: Cover,
     if (abs(img_dx) + abs(img_dy)) * t_max * per + 3 < per * per:
         return None
     step = t_max / k_count
-    fdx, fdy = float(img_dx) * float(step), float(img_dy) * float(step)
-    fbx, fby = float(base_x), float(base_y)
 
-    cells, last = per * per, per - 1
-    candidates = {}
-    for k in range(k_count):
-        cx = int((k * fdx + fbx) % 1.0 * per)
-        cy = int((k * fdy + fby) % 1.0 * per)
-        cell = (cx if cx < per else last) * per + (cy if cy < per else last)
-        if cell not in candidates:
-            candidates[cell] = k
-            if len(candidates) == cells:
-                break
-    else:
-        return None
-
-    col_x = _cell_lane(sys.D, per, base_x, img_dx * step)
-    col_y = _cell_lane(sys.D, per, base_y, img_dy * step)
+    col_x = _cell_raster(sys.D, per, base_x, img_dx * step)
+    col_y = _cell_raster(sys.D, per, base_y, img_dy * step)
     witnesses = {}
-    for k in sorted(candidates.values()):
-        exact = col_x(k) * per + col_y(k)
-        witnesses.setdefault(exact, k)
-    if len(witnesses) < per * per:
-        return None
-    return _ToralLevel(X, witnesses, y0, step, X)
+    for k, cx, cy in zip(range(k_count), col_x, col_y):
+        witnesses.setdefault(cx * per + cy, k)
+        if len(witnesses) == per * per:
+            return _ToralLevel(X, witnesses, y0, step, X)
+    return None
 
 
 def _toral_level(sys: ToralAutomorphism, cover: Cover, n: int, m_prev: int,

@@ -8,6 +8,7 @@ scratch, so a regression in the library cannot hide behind its own reporting.
 
 import hashlib
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,6 +192,45 @@ def test_criterion_3_exhaustive_window_enumeration(runs):
              f"run took {run.seconds:.2f}s")
 
 
+def _walked_segment_deviations(sys, payload):
+    """Largest tracer distance on each segment, walked again from the
+    stored tracer, switch times and segments."""
+    tracer = decode_point(sys, payload["tracer"])
+    worst = []
+    for (text, n), start in zip(payload["segments"], payload["switchTimes"]):
+        x = decode_point(sys, text)
+        cur = sys.apply(tracer, start)
+        top = sys.distance(cur, x)
+        for _ in range(n):
+            cur, x = sys.apply(cur), sys.apply(x)
+            top = max(top, sys.distance(cur, x))
+        worst.append(top)
+    return worst
+
+
+def _spec_record_sound(sys, rec):
+    """Criterion 4's per-record claims: the schedule bracket, every gap in
+    it, and a tracer that stays within epsilon on every segment, by the
+    stored maximum deviations."""
+    pl = rec.witness_payload
+    t = pl["thresholds"]
+    level = pl["level"]
+    sound = (rec.outcome == "pass"
+             and t[0] == 0 and t[1] > 0
+             and all(t[i] <= t[i + 1] for i in range(1, len(t) - 1))
+             and pl["lo"] == t[level - 1] and pl["hi"] == t[level])
+    switch, period = pl["switchTimes"], pl["period"]
+    k = len(pl["segments"])
+    for j in range(k):
+        nxt = switch[j + 1] if j + 1 < k else period
+        gap = nxt - switch[j] - pl["segments"][j][1]
+        sound = sound and pl["lo"] <= gap <= pl["hi"]
+    eps = decode_scalar(pl["epsilon"])
+    walked = _walked_segment_deviations(sys, pl)
+    return (sound and all(d < eps for d in walked)
+            and walked == [decode_scalar(d) for d in pl["maxDeviations"]])
+
+
 def test_criterion_4_scheduled_segment_tracing(runs):
     sound = True
     notes = []
@@ -198,29 +238,16 @@ def test_criterion_4_scheduled_segment_tracing(runs):
         run = runs[name]
         sys = run.config.system
         sound = sound and len(run.records) == 100
-        thresholds = None
         for rec in run.records:
-            pl = rec.witness_payload
-            t = pl["thresholds"]
-            thresholds = t
-            level = pl["level"]
-            sound = (sound and rec.outcome == "pass"
-                     and t[0] == 0 and t[1] > 0
-                     and all(t[i] <= t[i + 1] for i in range(1, len(t) - 1))
-                     and pl["lo"] == t[level - 1] and pl["hi"] == t[level])
-            switch, period = pl["switchTimes"], pl["period"]
-            k = len(pl["segments"])
-            for j in range(k):
-                nxt = switch[j + 1] if j + 1 < k else period
-                gap = nxt - switch[j] - pl["segments"][j][1]
-                sound = sound and pl["lo"] <= gap <= pl["hi"]
+            sound = sound and _spec_record_sound(sys, rec)
+        thresholds = run.records[-1].witness_payload["thresholds"]
         # rebuild the schedule and demand strictly later transitions at the
         # deeper level, cell pair by cell pair
         eps = run.config.check["epsilon"]
         target = min(delta_for_epsilon(sys, eps / 2), eps / 2)
         schedule = transition_times(sys, build_cover(sys, target, CELL_BUDGET),
                                      2, DEFAULT_HORIZON)
-        idx = range(len(schedule.cover.cells))
+        idx = range(len(schedule.cover))
         if len(idx) > 64:
             idx = list(idx)[::len(idx) // 64][:64]
         sound = (sound and list(schedule.thresholds) == thresholds
@@ -230,6 +257,22 @@ def test_criterion_4_scheduled_segment_tracing(runs):
     secs = runs["c4_spec_shift"].seconds + runs["c4_spec_cat"].seconds
     ok = sound and secs < 60
     _verdict(4, ok, f"{'; '.join(notes)}; runs took {secs:.2f}s")
+
+
+def test_criterion_4_rejects_swapped_tracers(runs):
+    # every other field of a record stays valid, so only the re-walk of
+    # the tracer can notice that it traces another record's segments
+    for name in ("c4_spec_shift", "c4_spec_cat"):
+        run = runs[name]
+        sys = run.config.system
+        a, b = run.records[0], run.records[1]
+        assert a.witness_payload["tracer"] != b.witness_payload["tracer"]
+        assert _spec_record_sound(sys, a) and _spec_record_sound(sys, b)
+        for rec, other in ((a, b), (b, a)):
+            payload = dict(rec.witness_payload,
+                           tracer=other.witness_payload["tracer"])
+            assert not _spec_record_sound(
+                sys, replace(rec, witness_payload=payload))
 
 
 def test_criterion_5_two_sided_tracking(runs):

@@ -6,11 +6,13 @@ import subprocess
 import sys as _sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from math import lcm
 
 import pytest
 
 import shadowspec
+from shadowspec import specification
 from shadowspec.covers import build_cover
 from shadowspec.errors import (
     BudgetExceededError,
@@ -18,10 +20,11 @@ from shadowspec.errors import (
     HorizonError,
     NotTransitiveError,
 )
+from shadowspec.scalars import _floor_quad
 from shadowspec.shadowing import delta_for_epsilon
 from shadowspec.specification import (
     _SWEEP_CAP,
-    _cell_lane,
+    _cell_raster,
     _toral_sweep,
     check_specification,
     cover_tolerance,
@@ -61,11 +64,11 @@ def build(sys, delta, n_max=2):
 def test_full_shift_level_one_is_window_clearing():
     fs = full_shift(2)
     cover, sched = build(fs, Fraction(3, 4))
-    w = cover.cells[0].w
+    w = cover.w
     r0 = len(cover)
     for i in range(r0):
         for j in range(r0):
-            a, b = cover.cells[j].word[-1], cover.cells[i].word[0]
+            a, b = cover.words[j][-1], cover.words[i][0]
             assert sched.entry(1, i, j) == oracle_least_x(fs, w, a, b, 0) == 3
     assert sched.thresholds[:2] == (0, 3)
 
@@ -73,13 +76,13 @@ def test_full_shift_level_one_is_window_clearing():
 def test_golden_mean_schedule_against_bridge_oracle():
     gm = golden_mean_shift()
     cover, sched = build(gm, Fraction(3, 4), n_max=3)
-    w = cover.cells[0].w
+    w = cover.w
     assert sched.thresholds == (0, 4, 5, 6)
     for n in (1, 2, 3):
         for i in range(len(cover)):
             for j in range(len(cover)):
-                a = cover.cells[j].word[-1]
-                b = cover.cells[i].word[0]
+                a = cover.words[j][-1]
+                b = cover.words[i][0]
                 lower = max(sched.thresholds[n - 1],
                             sched.entry(n - 1, i, j) + 1 if n > 1 else 0)
                 assert sched.entry(n, i, j) == oracle_least_x(gm, w, a, b, lower)
@@ -91,13 +94,13 @@ def test_three_cycle_schedule_fits_diagonal_types():
     # form diagonal types; they must fit below the off-diagonal maximum
     cyc = ShiftSpace([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     cover, sched = build(cyc, Fraction(3, 4))
-    w = cover.cells[0].w
+    w = cover.w
     assert sched.thresholds == (0, 5, 8)
     for n in (1, 2):
         for i in range(3):
             for j in range(3):
-                a = cover.cells[j].word[-1]
-                b = cover.cells[i].word[0]
+                a = cover.words[j][-1]
+                b = cover.words[i][0]
                 lower = max(sched.thresholds[n - 1],
                             sched.entry(n - 1, i, j) + 1 if n > 1 else 0)
                 assert sched.entry(n, i, j) == \
@@ -144,8 +147,8 @@ def test_connector_full_shift_frozen_example():
     # level 1 connects cell i1 to cell j0 in 3 steps, level 2 in 4
     assert [sched.entry(n, j0, i1) for n in (1, 2)] == [3, 4]
     y = sched.witness(1, j0, i1)
-    assert cover.cells[i1].contains(y)
-    assert cover.cells[j0].contains(fs.apply(y, 3))
+    assert cover.locate(y) == i1
+    assert cover.locate(fs.apply(y, 3)) == j0
     assert y.window(-1, 4) == (0, 0, 0, 1, 1, 1)
 
 
@@ -168,68 +171,57 @@ def test_toral_uniform_schedule_and_replay():
         assert sched.verify_entry(2, i, j)
 
 
-def _numpy_sweep(np, sys, cover, X):
-    """The strand sweep with a numpy raster, as its oracle: every sample is
-    rastered, in chunks, before the candidates are verified as the sweep
-    verifies them."""
+def _exact_sweep(sys, cover, X):
+    """The strand sweep by its definition, as its oracle: the cell of each
+    sample k in turn, by one ``_floor_quad`` per coordinate, and the first
+    k per cell until every cell has one."""
     sp = sys.hyperbolic_splitting()
     sigma = sp.v_u[1]
-    side = cover.cells[0].side
-    per = round(1 / side)
+    per = cover.per
     sig_ub = Fraction((abs(sigma) * 2**20).floor() + 1, 2**20)
-    t_max = side / (2 * (1 + sig_ub))
+    t_max = Fraction(1, per) / (2 * (1 + sig_ub))
     y0 = Fraction(0) if sigma.sign() >= 0 else t_max * sig_ub
     M = sys.matrix_power(X)
     lam_x = sp.lam_u**X
-    img_dx, img_dy = lam_x, lam_x * sigma
-    base_x = sys.scalar(M[0][1]) * y0
-    base_y = sys.scalar(M[1][1]) * y0
-    raw = 4 * float(t_max) * abs(float(lam_x)) * max(1.0, abs(float(sigma)))
-    k_count = max(per * per, int(raw / float(side)) + 1)
+    spread = 4 * t_max * abs(lam_x) * max(1, abs(sigma)) * per
+    k_count = max(per * per, spread.floor() + 1)
     if k_count > _SWEEP_CAP:
         return "budget"
     step = t_max / k_count
-    fdx, fdy = float(img_dx) * float(step), float(img_dy) * float(step)
-    fbx, fby = float(base_x), float(base_y)
-    candidates = {}
-    for lo in range(0, k_count, 1 << 20):
-        ks = np.arange(lo, min(lo + (1 << 20), k_count), dtype=np.float64)
-        fx = (ks * fdx + fbx) % 1.0
-        fy = (ks * fdy + fby) % 1.0
-        flat = (np.clip((fx * per).astype(np.int64), 0, per - 1) * per
-                + np.clip((fy * per).astype(np.int64), 0, per - 1))
-        uniq, idx = np.unique(flat, return_index=True)
-        for cell, k in zip(uniq.tolist(), (idx + lo).tolist()):
-            candidates.setdefault(cell, k)
-    if len(candidates) < per * per:
-        return None
-    col_x = _cell_lane(sys.D, per, base_x, img_dx * step)
-    col_y = _cell_lane(sys.D, per, base_y, img_dy * step)
+    lanes = []
+    for base, img in ((sys.scalar(M[0][1]) * y0, lam_x),
+                      (sys.scalar(M[1][1]) * y0, lam_x * sigma)):
+        # per * (base + k * step * img) = (u + k*du + (v + k*dv) sqrt(D)) / R
+        a, b = per * base, per * step * img
+        R = lcm(a.r, b.r)
+        lanes.append((a.p * (R // a.r), a.q * (R // a.r),
+                      b.p * (R // b.r), b.q * (R // b.r), R))
     witnesses = {}
-    for k in sorted(candidates.values()):
-        witnesses.setdefault(col_x(k) * per + col_y(k), k * step)
-    return witnesses if len(witnesses) == per * per else None
+    for k in range(k_count):
+        cx, cy = (_floor_quad(sys.D, u + k * du, v + k * dv, R) % per
+                  for u, v, du, dv, R in lanes)
+        witnesses.setdefault(cx * per + cy, k)
+        if len(witnesses) == per * per:
+            return witnesses
+    return None
 
 
 @pytest.mark.parametrize("matrix, epsilon", [
     (((2, 1), (1, 1)), Fraction(1, 10)), (((2, 1), (1, 1)), Fraction(1, 20)),
     (((3, 1), (2, 1)), Fraction(1, 10)),
 ], ids=["cat-10", "cat-20", "3121-10"])
-def test_toral_sweep_matches_numpy_raster(matrix, epsilon):
-    np = pytest.importorskip("numpy")
+def test_toral_sweep_matches_exact_oracle(matrix, epsilon):
     sys = ToralAutomorphism(matrix)
     cover = build_cover(sys, cover_tolerance(sys, epsilon))
     found = []
     for X in range(1, 15):
-        want = _numpy_sweep(np, sys, cover, X)
+        want = _exact_sweep(sys, cover, X)
         try:
             level = _toral_sweep(sys, cover, X)
         except BudgetExceededError:
             got = "budget"
         else:
-            # the level keeps each witness's k; its parameter is k * step
-            got = level and {cell: k * level.step
-                             for cell, k in level.witnesses.items()}
+            got = level and level.witnesses
         assert got == want, X
         found.append(want is not None and want != "budget")
     # both outcomes occur: early X values fail, later ones reach every cell
@@ -249,8 +241,9 @@ def test_import_leaves_numpy_out():
 @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((3, 1), (2, 1))])
 def test_cell_lane_matches_field_chain(matrix):
     """The sweep's integer cell of image(k) = img*(k*step) + base, against
-    the QuadraticNumber chain it replaced, on the sweep's own strand shape:
-    base = A^X (0, y0), img = lam_u^X times (1, sigma)."""
+    the QuadraticNumber chain, on the sweep's own strand shape:
+    base = A^X (0, y0), img = lam_u^X times (1, sigma).  A raster started
+    from base + k0*step*img walks the samples from k0 on."""
     sys = ToralAutomorphism(matrix)
     sp = sys.hyperbolic_splitting()
     rng = random.Random(2024)
@@ -261,10 +254,33 @@ def test_cell_lane_matches_field_chain(matrix):
         step = Fraction(1, rng.randrange(per * per, 64 * per * per))
         for base, img in ((sys.scalar(M[0][1]) * y0, lam),
                           (sys.scalar(M[1][1]) * y0, lam * sp.v_u[1])):
-            lane = _cell_lane(sys.D, per, base, img * step)
-            for k in [0] + [rng.randrange(1 << 24) for _ in range(40)]:
-                x = img * (k * step) + base
-                assert lane(k) == (x.mod1() * per).floor(), (X, per, k)
+            for k0 in [0] + [rng.randrange(1 << 24) for _ in range(8)]:
+                lane = _cell_raster(sys.D, per, base + img * (k0 * step),
+                                    img * step)
+                for k, col in enumerate(islice(lane, 40), k0):
+                    x = img * (k * step) + base
+                    assert col == (x.mod1() * per).floor(), (X, per, k)
+
+
+def test_raster_precision_moves_samples_to_floor_quad(monkeypatch):
+    """At K = 2 bits nearly every sample's interval straddles a cell
+    boundary and goes to _floor_quad; the witnesses stay the same."""
+    sys = cat_map()
+    cover = build_cover(sys, cover_tolerance(sys, Fraction(1, 10)))
+    want = _toral_sweep(sys, cover, 12)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _floor_quad(*args)
+
+    monkeypatch.setattr(specification, "_RASTER_BITS", 2)
+    monkeypatch.setattr(specification, "_floor_quad", counted)
+    got = _toral_sweep(sys, cover, 12)
+    assert got.witnesses == want.witnesses and got.step == want.step
+    samples = max(want.witnesses.values()) + 1
+    # nearly all of the two lookups per sample went to _floor_quad
+    assert len(calls) * 10 > 2 * samples * 9
 
 
 def test_specification_full_shift_frozen():
