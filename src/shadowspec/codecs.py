@@ -12,6 +12,7 @@ decimals, field elements as a+b√D, and square roots as sqrt(<radicand>).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import MalformedPointError
 from .scalars import (
@@ -79,17 +80,33 @@ def encode_point(sys, point) -> str:
     raise TypeError(f"no point encoding for {type(sys).__name__}")
 
 
+# Decoded shift points kept by ``_decode_symbolic``: a report repeats few
+# distinct point texts (c3's 24,576 pseudo-orbit points hold 512).
+_POINT_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_POINT_MEMO_SIZE)
+def _decode_symbolic(sys: ShiftSpace, text: str) -> SymbolicPoint:
+    """The validated point a stripped text names on the shift ``sys``.
+
+    ``SymbolicPoint`` is immutable, so callers may share the returned
+    point.  The key is the system object, so a text is validated against
+    each system it is decoded for, and a malformed text raises every time.
+    """
+    body, at, offset = text.rpartition("@")
+    parts = body.split("~")
+    if at != "@" or len(parts) != 3:
+        raise MalformedPointError(f"not a symbolic point: {text!r}")
+    x = SymbolicPoint(_parse_word(parts[0]), _parse_word(parts[1]),
+                      _parse_word(parts[2]), _int(offset))
+    sys.validate_point(x)
+    return x
+
+
 def decode_point(sys, text: str):
     text = text.strip()
     if isinstance(sys, ShiftSpace):
-        body, at, offset = text.rpartition("@")
-        parts = body.split("~")
-        if at != "@" or len(parts) != 3:
-            raise MalformedPointError(f"not a symbolic point: {text!r}")
-        x = SymbolicPoint(_parse_word(parts[0]), _parse_word(parts[1]),
-                          _parse_word(parts[2]), _int(offset))
-        sys.validate_point(x)
-        return x
+        return _decode_symbolic(sys, text)
     if isinstance(sys, ToralAutomorphism):
         try:
             coords = [decode_scalar(part, sys.D) for part in text.split(",")]

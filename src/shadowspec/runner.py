@@ -211,14 +211,17 @@ def _run_exhaustive(sys, check: dict, ctx: _Ctx):
     eps = check["epsilon"]
     delta = check["delta"] if "delta" in check else delta_for_epsilon(sys, eps)
     at = -(width // 2)
+    # each window's point and text, built once and shared by every chain
+    points = {w: sys.point_through(w, at) for w in sys.words(width)}
+    texts = {w: encode_point(sys, y) for w, y in points.items()}
     records = []
     for chain in _window_chains(sys, width, npts):
-        points = [sys.point_through(w, at) for w in chain]
         with ctx.attempt(records, ctx.base_seed):
             po_spec = {"kind": "explicit", "start": 0,
-                       "points": [encode_point(sys, y) for y in points]}
-            records.append(_shadow_record(ctx, PseudoOrbit(sys, 0, points),
-                                          po_spec, eps, delta, ctx.base_seed))
+                       "points": [texts[w] for w in chain]}
+            po = PseudoOrbit(sys, 0, [points[w] for w in chain])
+            records.append(_shadow_record(ctx, po, po_spec, eps, delta,
+                                          ctx.base_seed))
     return records
 
 

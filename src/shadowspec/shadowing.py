@@ -69,9 +69,8 @@ def delta_for_epsilon(sys, epsilon):
         eps = Fraction(epsilon)
         if eps <= 0:
             raise ValueError("epsilon must be positive")
-        k = 0
-        while Fraction(1, 2**k) > eps:
-            k += 1
+        # the least k with 2^-k <= eps, i.e. 2^k >= ceil(1/eps)
+        k = (-(-eps.denominator // eps.numerator) - 1).bit_length()
         return Fraction(1, 2 ** (k + 1))
     if isinstance(sys, ToralAutomorphism):
         eps = sys.scalar(epsilon) if not isinstance(epsilon, QuadraticNumber) \

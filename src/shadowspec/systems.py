@@ -72,12 +72,31 @@ def _edit_span(p, s: int, edited) -> tuple[int, int]:
     return start, end
 
 
-def _first_difference(u, v, limit: int):
-    """The least k < limit with u(k) != v(k) or u(-k) != v(-k), else None."""
+def _first_difference(u: Word, v: Word, limit: int):
+    """The least k < limit with u(k) != v(k) or u(-k) != v(-k), else None.
+
+    u and v hold the symbols at indices -(limit-1)..limit-1, index 0 at
+    position limit - 1.
+    """
+    if u == v:
+        return None
+    c = limit - 1
     for k in range(limit):
-        if u(k) != v(k) or u(-k) != v(-k):
+        if u[c + k] != v[c + k] or u[c - k] != v[c - k]:
             return k
-    return None
+
+
+def _entry_window(p, s: int, edits, r: int) -> Word:
+    """The symbols of sigma^s(p), with ``edits`` (index -> symbol) written
+    over it, at indices -(r-1)..r-1."""
+    w = p.window(s - r + 1, s + r - 1)
+    if not edits:
+        return w
+    w = list(w)
+    for j, c in edits.items():
+        if -r < j < r:
+            w[j + r - 1] = c
+    return tuple(w)
 
 
 # The edits of an unedited point in an edit form (see ShiftSpace).
@@ -428,7 +447,13 @@ class ShiftSpace:
     # per point, its own base, with no edits.  An edit always differs from
     # the base symbol it covers.  d(u, v) = 2^-k for the least
     # |index| k where u and v differ, so each maximum below is 2^-(least k),
-    # and a scan stops at the least k found so far.
+    # and a scan stops at the least k found so far.  A scan builds both
+    # symbol windows over -(limit-1)..limit-1 at once (``_entry_window``
+    # writes an entry's edits over its slice of the base) and compares them
+    # as tuples: equal windows cost one compare, and only unequal ones are
+    # walked outward from index 0 (``_first_difference``).  Explicit points
+    # decoded from a report may be shared objects: ``decode_point`` keeps a
+    # bounded memo from (system, text) to the validated point.
 
     def tracking_form(self, points):
         """The edit form of explicit points: each its own base, unedited.
@@ -450,12 +475,11 @@ class ShiftSpace:
                 k = min((abs(j) for j in {*(i - 1 for i in e), *g}
                          if e.get(j + 1) != g.get(j)), default=None)
             else:
+                shifted = {i - 1: c for i, c in e.items()}
                 limit = best if best is not None else 1 + _scan_bound(
-                    _edit_span(p, s + 1, [i - 1 for i in e]), p,
-                    _edit_span(q, t, g), q)
-                k = _first_difference(
-                    lambda m: e[m + 1] if m + 1 in e else read(s + m + 1),
-                    lambda m: g[m] if m in g else read_q(t + m), limit)
+                    _edit_span(p, s + 1, shifted), p, _edit_span(q, t, g), q)
+                k = _first_difference(_entry_window(p, s + 1, shifted, limit),
+                                      _entry_window(q, t, g, limit), limit)
             if k is not None and (best is None or k < best):
                 best = k
                 if not k:
@@ -475,13 +499,15 @@ class ShiftSpace:
             if window is None:
                 bound = _scan_bound(_edit_span(x, n, ()), x,
                                     _edit_span(p, s, e), p)
-                best = _first_difference(
-                    lambda m: x.symbol(n + m),
-                    lambda m: e[m] if m in e else read(s + m), bound + 1)
+                # x from index n - bound on, far enough for every later scan
+                lo = n - bound
+                xs = x.window(lo, len(form) - 1 + bound)
+                best = _first_difference(xs[:2 * bound + 1],
+                                         _entry_window(p, s, e, bound + 1),
+                                         bound + 1)
                 if best is None:
                     continue
-                lo = -best
-                window = x.window(lo, len(form) + best - 1)
+                window = xs
             else:
                 i = n - lo
                 for k in range(best):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from shadowspec import codecs
 from shadowspec.codecs import (
     decode_point,
     decode_scalar,
@@ -111,6 +112,44 @@ def test_sft_rejects_malformed_text(text):
     sys = full_shift(2)
     with pytest.raises(MalformedPointError):
         decode_point(sys, text)
+
+
+# The shift decode memo: (system, stripped text) -> validated point.
+
+def test_memo_validates_each_text_per_system():
+    # 11 is admissible on the full shift and forbidden on the golden mean
+    text = "0~11~0@0"
+    full, golden = full_shift(2), golden_mean_shift()
+    for order in ((full, golden), (golden, full)):
+        codecs._decode_symbolic.cache_clear()
+        for sys in order + order:
+            if sys is full:
+                assert decode_point(sys, text).core == (1, 1)
+            else:
+                with pytest.raises(MalformedPointError):
+                    decode_point(sys, text)
+
+
+@pytest.mark.parametrize("text", ["0~2~0@0", "a~b~c@x"])
+def test_memo_keeps_no_errors(text):
+    sys = full_shift(2)
+    before = codecs._decode_symbolic.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(MalformedPointError):
+            decode_point(sys, text)
+    assert codecs._decode_symbolic.cache_info().currsize == before
+
+
+def test_memo_keys_the_stripped_text():
+    sys = full_shift(2)
+    x = decode_point(sys, "10~011~1@-4")
+    assert decode_point(sys, "  10~011~1@-4\n") == x
+    assert decode_point(sys, "\t10~011~1@-4 ") is x
+
+
+def test_memo_size_is_the_module_constant():
+    info = codecs._decode_symbolic.cache_info()
+    assert info.maxsize == codecs._POINT_MEMO_SIZE
 
 
 def test_toral_rational_point_round_trip():

@@ -26,8 +26,9 @@ from shadowspec.pseudo_orbits import (
     orbit,
     perturbed_orbit,
 )
+from shadowspec.runner import _window_chains
 from shadowspec.scalars import QuadraticNumber
-from shadowspec.shadowing import delta_for_epsilon
+from shadowspec.shadowing import delta_for_epsilon, shadow_sft
 from shadowspec.systems import (
     CircleRotation,
     PermutationSystem,
@@ -641,3 +642,40 @@ def test_shift_kernels_match_distance_walk(data):
             assert type(dev) is Fraction, label
             assert dev == max(deviations(sys_, t, points)), (label, t)
     assert orbits["true"].gap == orbits["true"].max_deviation(tracers[0]) == 0
+
+    # An edit on the edge of a later scan's window: the first jump differs
+    # first at +-m, so the second is scanned over -(m-1)..m-1, and its only
+    # difference is the edit at +-(m-1).
+    m = data.draw(st.integers(1, 6))
+    j1, j2 = (data.draw(st.sampled_from((-1, 1))) * i for i in (m, m - 1))
+    y0 = sys_.apply(x, a)
+    q = sys_.apply(y0)
+    y1 = q.with_symbol(j1, 1 - q.symbol(j1) % 2)
+    z = sys_.apply(y1)
+    y2 = z.with_symbol(j2, 1 - z.symbol(j2) % 2)
+    form = [(y0, y0.symbol, 0, {}), (q, q.symbol, 0, {j1: y1.symbol(j1)}),
+            (z, z.symbol, 0, {j2: y2.symbol(j2)})]
+    points = [y0, y1, y2]
+    assert sys_.max_jump(form) == _shift_gap_walk(sys_, points) == \
+        Fraction(1, 2 ** (m - 1))
+    for t in tracers:
+        assert sys_.max_orbit_deviation(t, form) == \
+            max(deviations(sys_, t, points)), t
+
+
+@pytest.mark.parametrize("name", ["full2", "golden"])
+@pytest.mark.parametrize("width, length", [(9, 2), (5, 3)])
+def test_shift_kernels_on_explicit_window_chains(name, width, length):
+    # the forms c3-shaped exhaustive records give: one explicit point per
+    # window, traced by the splice at the loosest epsilon the width allows
+    sys_ = _SHIFTS[name]
+    eps = Fraction(1, 2 ** (width // 2 - 1))
+    chains = _window_chains(sys_, width, length)
+    assert chains
+    for chain in chains:
+        points = [sys_.point_through(w, -(width // 2)) for w in chain]
+        po = PseudoOrbit(sys_, 0, points)
+        assert sys_.max_jump(po.form) == _shift_gap_walk(sys_, points), chain
+        tracer = shadow_sft(sys_, po, eps).tracer
+        assert sys_.max_orbit_deviation(tracer, po.form) == \
+            max(deviations(sys_, tracer, points)), chain

@@ -1,18 +1,23 @@
 """The runner: error records, config refusals, seeds and sampled points."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from shadowspec import runner
+from shadowspec.codecs import encode_point
 from shadowspec.config import parse_config
 from shadowspec.errors import ConfigError, HorizonError
+from shadowspec.reporting import records_to_jsonl
 from shadowspec.runner import run_check
 from shadowspec.systems import (
     CircleRotation,
+    ShiftSpace,
     cat_map,
     full_shift,
+    golden_mean_shift,
 )
 
 SHIFT = "system.kind = sft\nsystem.transition = 11;11\ncheck.seed = 7\n"
@@ -207,3 +212,31 @@ def test_exhaustive_chains_skip_inadmissible_windows():
     chains = sum(1 for u in words for v in words if v[1] == u[2])
     assert len(records) == chains == 14
     assert all(r.outcome == "pass" for r in records)
+
+
+def test_exhaustive_run_builds_each_window_point_once(monkeypatch):
+    # every chain position reads the one point built for its window; the
+    # JSONL is the one each position's own build gave (digest taken from
+    # that construction)
+    built = []
+    real = ShiftSpace.point_through
+
+    def counted(self, word, at=0):
+        built.append(tuple(word))
+        return real(self, word, at)
+
+    monkeypatch.setattr(ShiftSpace, "point_through", counted)
+    records = run("system.kind = sft\nsystem.transition = 11;10\n"
+                  "check.kind = check-shadowing\ncheck.mode = exhaustive\n"
+                  "check.width = 5\ncheck.length = 3\ncheck.epsilon = 1/2\n")
+    gm = golden_mean_shift()
+    words = list(gm.words(5))
+    assert sorted(built) == sorted(words) and len(built) == len(words) == 13
+    monkeypatch.undo()
+    chains = runner._window_chains(gm, 5, 3)
+    assert len(records) == len(chains) == 98
+    assert [r.witness_payload["pseudoOrbit"]["points"] for r in records] == [
+        [encode_point(gm, gm.point_through(w, -2)) for w in chain]
+        for chain in chains]
+    assert hashlib.sha256(records_to_jsonl(records).encode()).hexdigest() == \
+        "2b7c89906560eddd97aa67a2b9d8afb85a58bd4daef203fd2677b673c6a947e0"

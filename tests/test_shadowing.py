@@ -45,6 +45,20 @@ class TestCalibration:
         with pytest.raises(ValueError):
             delta_for_epsilon(sh, 0)
 
+    def test_sft_closed_form_matches_halving_loop(self):
+        def by_loop(eps):
+            k = 0
+            while Fraction(1, 2**k) > eps:
+                k += 1
+            return Fraction(1, 2 ** (k + 1))
+
+        sh = full_shift(2)
+        epsilons = [Fraction(p, q) for p in range(1, 60) for q in range(1, 300)]
+        epsilons += [1, 2, 3, 1000, Fraction(7, 2), Fraction(10**30 + 1, 3),
+                     Fraction(1, 2**200), Fraction(1, 2**200 - 1)]
+        for eps in epsilons:
+            assert delta_for_epsilon(sh, eps) == by_loop(eps), eps
+
     def test_cat_constant_is_one_plus_root_five(self):
         # both eigenline terms equal the golden ratio and the eigenvectors
         # are orthogonal, so delta = eps / (2*phi) = eps / (1 + sqrt5)
