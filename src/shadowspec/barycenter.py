@@ -26,7 +26,7 @@ from .errors import (
     NotRelatedError,
     UnsupportedSystemError,
 )
-from .pseudo_orbits import deviations, max_deviation, orbit
+from .pseudo_orbits import deviations, from_true_orbit, orbit
 from .scalars import QuadraticNumber, SqrtVal, _floor_quad
 from .systems import ShiftSpace, SymbolicPoint, ToralAutomorphism, _primitive
 
@@ -292,12 +292,6 @@ def barycenter_point(sys, p: HyperbolicPeriodicPoint,
     return BarycenterResult(x, X, X, epsilon, n_1, n_2, p, q)
 
 
-def _anchor(sys, p: HyperbolicPeriodicPoint, lo: int, n: int) -> list:
-    """f^lo(p), ..., f^(lo+n)(p), read off one period of p's orbit."""
-    cycle = orbit(sys, p.point, p.period - 1)
-    return [cycle[i % p.period] for i in range(lo, lo + n + 1)]
-
-
 def verify_barycenter(sys, x, X: int, p: HyperbolicPeriodicPoint,
                       q: HyperbolicPeriodicPoint, epsilon,
                       n_1: int, n_2: int) -> bool:
@@ -306,10 +300,10 @@ def verify_barycenter(sys, x, X: int, p: HyperbolicPeriodicPoint,
     d(f^i(x), f^i(p)) < epsilon for -n_1 <= i <= 0, and
     d(f^(X+i)(x), f^i(q)) < epsilon for 0 <= i <= n_2.
     """
-    back = _anchor(sys, p, -n_1, n_1)
-    fwd = _anchor(sys, q, 0, n_2)
-    return (max_deviation(sys, sys.apply(x, -n_1), back) < epsilon
-            and max_deviation(sys, sys.apply(x, X), fwd) < epsilon)
+    back = from_true_orbit(sys, p.point, -n_1, 0)
+    fwd = from_true_orbit(sys, q.point, 0, n_2)
+    return (back.max_deviation(sys.apply(x, -n_1)) < epsilon
+            and fwd.max_deviation(sys.apply(x, X)) < epsilon)
 
 
 def cut_witness(result: BarycenterResult, depth: int) -> BarycenterWitness:
@@ -353,10 +347,10 @@ def extract_heteroclinic(sys, w: BarycenterWitness):
     m = max(i + 1 for i, (_, xm) in enumerate(w.pairs) if xm == X)
     z = w.pairs[m - 1][0]
 
-    back = _anchor(sys, w.p, -m, m)
-    if not max_deviation(sys, sys.apply(z, -m), back) <= w.epsilon:
+    back = from_true_orbit(sys, w.p.point, -m, 0)
+    if not back.max_deviation(sys.apply(z, -m)) <= w.epsilon:
         raise CalibrationError(f"witness {m} violates the backward inequality")
-    fwd = _anchor(sys, w.q, 0, m)
-    if not max_deviation(sys, sys.apply(z, X), fwd) <= w.epsilon:
+    fwd = from_true_orbit(sys, w.q.point, 0, m)
+    if not fwd.max_deviation(sys.apply(z, X)) <= w.epsilon:
         raise CalibrationError(f"witness {m} violates the forward inequality")
     return z, X

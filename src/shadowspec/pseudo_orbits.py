@@ -4,18 +4,18 @@ A pseudo-orbit is a finite indexed sequence y_a..y_b whose jump errors
 d(f(y_n), y_{n+1}) stay below some delta.  ``perturbed_orbit`` is the one
 perturbation entry point: it jitters a true orbit within delta, one lane per
 system family, and never measures a gap; the code that uses a pseudo-orbit
-checks its gap.  Every tracking inequality d(f^n x, y_n) < epsilon in the
-package (shadowing, specification, barycenter, heteroclinic extraction and
-their replay) goes through ``orbit``, ``deviations`` and ``max_deviation``.
-Everything here is exact: the gap is an exact scalar and recomputing it
-reproduces the cached value bit for bit.
+checks its gap.  A true orbit is a pseudo-orbit too, so every tracking
+inequality d(f^n x, y_n) < epsilon in the package (shadowing, specification,
+barycenter, heteroclinic extraction and their replay) is one
+``PseudoOrbit.max_deviation``.  Everything here is exact: the gap is an
+exact scalar and recomputing it reproduces the cached value bit for bit.
 
 Gaps and maximal deviations are read off a pseudo-orbit's form by its
 system's tracking kernels (see ``systems``): shifts carry an edit form, tori
-and rotations an integer form over one denominator.  The shift and toral
-lanes of ``perturbed_orbit`` and ``drift_orbit`` build that form directly,
-and their points are made only when something reads them; explicit point
-lists are converted once, on first use.
+and rotations an integer form over one denominator.  ``from_true_orbit``,
+``perturbed_orbit`` and ``drift_orbit`` build that form directly on shifts,
+tori and drifts, and make a point only when something reads it; explicit
+point lists are converted once, on first use.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from math import lcm
 from .errors import CalibrationError, UnsupportedSystemError
 from .scalars import QuadraticNumber, _floor_quad
 from .systems import (
+    _NO_EDITS,
     CircleRotation,
     ShiftSpace,
     SymbolicPoint,
@@ -60,11 +61,6 @@ def deviations(sys, x, points, step: int = 1):
         if n:
             cur = sys.apply(cur, step)
         yield sys.distance(cur, y)
-
-
-def max_deviation(sys, x, points):
-    """The exact max_n d(f^n(x), y_n) over a nonempty list of points."""
-    return PseudoOrbit(sys, 0, points).max_deviation(x)
 
 
 class _FormPoints(Sequence):
@@ -165,10 +161,42 @@ class PseudoOrbit:
 
 
 def from_true_orbit(sys, x, a: int, b: int) -> PseudoOrbit:
-    """The genuine orbit segment f^a(x)..f^b(x); its gap is 0."""
+    """The genuine orbit segment f^a(x)..f^b(x); its gap is 0.
+
+    x is validated once.  A shift's edit form is (x, read, s, no edits) for
+    s = a..b.  A torus's integer form (Q, us, vs) starts at A^a x and steps
+    by A, each u reduced mod Q; rotations keep the points of ``orbit``.
+    """
     if a > b:
         raise ValueError(f"empty index range [{a}, {b}]")
-    return PseudoOrbit(sys, a, orbit(sys, sys.apply(x, a), b - a))
+    if isinstance(sys, ShiftSpace):
+        sys.validate_point(x)
+        read = x.symbol
+        form = [(x, read, s, _NO_EDITS) for s in range(a, b + 1)]
+        return PseudoOrbit(sys, a, _FormPoints(
+            form, len(form), lambda n: x.shifted(a + n)))
+    if not isinstance(sys, ToralAutomorphism):
+        return PseudoOrbit(sys, a, orbit(sys, sys.apply(x, a), b - a))
+    Q, ((u0, u1),), ((v0, v1),) = sys.tracking_form([x])
+    M, us, vs = sys.matrix_power(a), [], []  # the first step is A^a
+    for _ in range(a, b + 1):
+        (a00, a01), (a10, a11) = M
+        u0, u1 = (a00 * u0 + a01 * u1) % Q, (a10 * u0 + a11 * u1) % Q
+        v0, v1 = a00 * v0 + a01 * v1, a10 * v0 + a11 * v1
+        us.append((u0, u1))
+        vs.append((v0, v1))
+        M = sys.matrix
+    return PseudoOrbit(sys, a, _toral_points(sys.D, Q, us, vs))
+
+
+def _toral_points(D: int, den: int, us, vs) -> _FormPoints:
+    """The points of the form (den, us, vs), each reduced when it is read."""
+    def make(i):
+        return TorusPoint(tuple(
+            QuadraticNumber(D, u - _floor_quad(D, u, v, den) * den, v, den)
+            for u, v in zip(us[i], vs[i])))
+
+    return _FormPoints((den, us, vs), len(us), make)
 
 
 def drift_orbit(sys: CircleRotation, y0, step, length: int) -> PseudoOrbit:
@@ -282,18 +310,12 @@ def _edited_point(x, s: int, edits):
 
 def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
     # Each point moves by at most h per coordinate; a jump then grows by at
-    # most sqrt(2) * h * (|A|_inf + 1) < delta.  Point n of the true orbit is
-    # (u + v*sqrt(D)) / Q with u reduced mod Q, an integer translate that
-    # leaves the point on the torus unchanged, and each jittered coordinate
-    # c + j*h/2^16 is one pair over L = lcm(Q, 2^16 * denominator(h)),
-    # reduced to [0, 1) by one floor.  The pairs are the orbit's integer
-    # form; no point is made here.
-    Q, ((x0, x1),), ((y0, y1),) = sys.tracking_form([x])
-    (m00, m01), (m10, m11) = sys.matrix_power(a)
-    u0, u1 = (m00 * x0 + m01 * x1) % Q, (m10 * x0 + m11 * x1) % Q
-    v0, v1 = m00 * y0 + m01 * y1, m10 * y0 + m11 * y1
-    (a00, a01), (a10, a11) = A = sys.matrix
-    norm = max(sum(abs(e) for e in row) for row in A)
+    # most sqrt(2) * h * (|A|_inf + 1) < delta.  Each coordinate c of the
+    # true orbit's integer form, jittered to c + j*h/2^16, is one pair over
+    # L = lcm(Q, 2^16 * denominator(h)), reduced to [0, 1) by one floor.
+    # The pairs are the orbit's integer form; no point is made here.
+    Q, true_us, true_vs = from_true_orbit(sys, x, a, b).form
+    norm = max(sum(abs(e) for e in row) for row in sys.matrix)
     h = sys.scalar(delta) / (2 * (norm + 1))
     L = lcm(Q, _JITTER_STEPS * h.r)
     c_scale = L // Q
@@ -305,7 +327,7 @@ def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
     bits, span = rng.getrandbits, 2 * _JITTER_STEPS + 1
 
     us, vs = [], []
-    for _ in range(a, b + 1):
+    for (u0, u1), (v0, v1) in zip(true_us, true_vs):
         j0 = bits(18)
         while j0 >= span:
             j0 = bits(18)
@@ -319,15 +341,7 @@ def _perturbed_toral(sys: ToralAutomorphism, x, a: int, b: int, delta, rng):
         us.append((p0 - _floor_quad(D, p0, q0, L) * L,
                    p1 - _floor_quad(D, p1, q1, L) * L))
         vs.append((q0, q1))
-        u0, u1 = (a00 * u0 + a01 * u1) % Q, (a10 * u0 + a11 * u1) % Q
-        v0, v1 = a00 * v0 + a01 * v1, a10 * v0 + a11 * v1
-
-    def make(i):
-        (p0, p1), (q0, q1) = us[i], vs[i]
-        return TorusPoint((QuadraticNumber(D, p0, q0, L),
-                           QuadraticNumber(D, p1, q1, L)))
-
-    return PseudoOrbit(sys, a, _FormPoints((L, us, vs), len(us), make))
+    return PseudoOrbit(sys, a, _toral_points(D, L, us, vs))
 
 
 def perturbed_orbit(sys, x, a: int, b: int, delta, seed: int) -> PseudoOrbit:

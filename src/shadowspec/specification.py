@@ -22,7 +22,7 @@ from .errors import (
     NotTransitiveError,
     UnsupportedSystemError,
 )
-from .pseudo_orbits import concatenate, deviations, orbit
+from .pseudo_orbits import concatenate, from_true_orbit
 from .scalars import _floor_quad
 from .shadowing import delta_for_epsilon, shadow
 from .systems import ShiftSpace, ToralAutomorphism
@@ -384,29 +384,12 @@ def specification_point(sys, segments, epsilon, level: int,
     period = c[-1]
 
     lo, hi = schedule.threshold(level - 1), schedule.threshold(level)
-    ok, checks, devs = _run_checks(sys, z, switch, period, segments,
-                                   epsilon, lo, hi)
+    ok, checks, devs = check_specification(sys, z, switch, period, segments,
+                                           epsilon, lo, hi)
     if not ok:
         bad = next(label for label, good in checks if not good)
         raise InternalInvariantError(f"specification check failed: {bad}")
-    return SpecificationResult(z, switch, level, epsilon, tuple(devs), period)
-
-
-def _run_checks(sys, z, switch, period, segments, epsilon, lo, hi):
-    checks = []
-    devs = []
-    k = len(segments)
-    for j in range(k):
-        c_next = switch[j + 1] if j + 1 < k else period
-        gap = c_next - switch[j] - segments[j][1]
-        checks.append((f"gap[{j}] in [{lo}, {hi}]", lo <= gap <= hi))
-    for j, (x, n) in enumerate(segments):
-        ds = list(deviations(sys, sys.apply(z, switch[j]), orbit(sys, x, n)))
-        checks += [(f"dev[{j}][{i}] < epsilon", d < epsilon)
-                   for i, d in enumerate(ds)]
-        devs.append(max(ds))
-    ok = all(good for _, good in checks)
-    return ok, checks, devs
+    return SpecificationResult(z, switch, level, epsilon, devs, period)
 
 
 def check_specification(sys, tracer, switch_times, period, segments,
@@ -416,9 +399,17 @@ def check_specification(sys, tracer, switch_times, period, segments,
     The caller supplies the bracket [lo, hi] the gaps were required to land
     in.  Returns (passed, checks, devs): checks is a tuple of (label, bool)
     in evaluation order, whose first False entry names the failure, and devs
-    the largest deviation on each segment.
+    the largest deviation on each segment.  The labels are
+    ``gap[j] in [lo, hi]`` for each segment j, then ``dev[j] < epsilon``,
+    the true orbit of x_j read against f^(c_j)(tracer) as one pseudo-orbit.
     """
     segments = [(x, int(n)) for x, n in segments]
-    ok, checks, devs = _run_checks(sys, tracer, tuple(switch_times), period,
-                                   segments, epsilon, lo, hi)
-    return ok, tuple(checks), tuple(devs)
+    switch = tuple(switch_times)
+    ends = switch[1:len(segments)] + (period,)
+    checks = [(f"gap[{j}] in [{lo}, {hi}]", lo <= ends[j] - switch[j] - n <= hi)
+              for j, (_, n) in enumerate(segments)]
+    devs = tuple(from_true_orbit(sys, x, 0, n).max_deviation(
+        sys.apply(tracer, switch[j])) for j, (x, n) in enumerate(segments))
+    checks += [(f"dev[{j}] < epsilon", d < epsilon)
+               for j, d in enumerate(devs)]
+    return all(good for _, good in checks), tuple(checks), devs

@@ -3,20 +3,20 @@
 Each system exposes the same minimal surface: ``apply(x, k)`` iterates the
 map (negative k uses the inverse), ``distance(x, y)`` evaluates the metric
 exactly, and ``validate_point(x)`` rejects points that do not belong to the
-space.  Everything downstream is written against this surface only, and
-compares an orbit with a reference sequence through ``pseudo_orbits.orbit``,
-``deviations`` and ``max_deviation``.
+space.
 
-Every family also speaks one tracking protocol, behind
-``PseudoOrbit.recompute_gap`` and ``PseudoOrbit.max_deviation``:
-``max_jump(form)`` and ``max_orbit_deviation(x, form)`` give the same maxima
-as ``distance`` over ``apply``, read off a pseudo-orbit's form rather than
-its points.  Shifts, tori and rotations each have their own form: shifts an
-edit form (each point a shift of a base point with a few symbols written
-over it), tori and rotations integers over one denominator; tori also give
-the per-index values as ``orbit_deviations``.  A permutation's form is its
-points.  The package's constructions build a form directly, and points from
-outside go through the family's one converter, ``tracking_form``.
+Every tracking inequality of the package, against a pseudo-orbit or a true
+orbit (``pseudo_orbits.from_true_orbit``), goes through one more protocol,
+behind ``PseudoOrbit.recompute_gap`` and ``PseudoOrbit.max_deviation``: each
+family's ``max_jump(form)`` and ``max_orbit_deviation(x, form)`` give the
+same maxima as ``distance`` over ``apply``, read off a pseudo-orbit's form
+rather than its points.  Shifts, tori and rotations each have their own
+form: shifts an edit form (each point a shift of a base point with a few
+symbols written over it), tori and rotations integers over one denominator;
+tori also give the per-index values as ``orbit_deviations``.  A
+permutation's form is its points.  The package's constructions build a form
+directly, and points from outside go through the family's one converter,
+``tracking_form``.
 """
 
 from __future__ import annotations

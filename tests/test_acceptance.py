@@ -2,8 +2,9 @@
 
 Each criterion re-derives what it can from the record payloads alone:
 distances are walked again point by point, combinatorial gaps are recounted
-from the stored switch times, and closed-form counts are recomputed from
-scratch, so a regression in the library cannot hide behind its own reporting.
+from the stored switch times, and closed-form counts and periodic points
+are recomputed from scratch, so a regression in the library cannot hide
+behind its own reporting.
 """
 
 import hashlib
@@ -14,15 +15,24 @@ from pathlib import Path
 
 import pytest
 
-from shadowspec.codecs import decode_point, decode_scalar
+from shadowspec.codecs import decode_point, decode_scalar, encode_scalar
 from shadowspec.config import parse_config
 from shadowspec.covers import CELL_BUDGET, build_cover
 from shadowspec.pseudo_orbits import perturbed_orbit
-from shadowspec.reporting import records_to_jsonl, replay_verify
+from shadowspec.reporting import (
+    records_to_jsonl,
+    replay_verify,
+    replay_verify_record,
+)
 from shadowspec.runner import run_check
 from shadowspec.scalars import QuadraticNumber, SqrtVal
 from shadowspec.shadowing import delta_for_epsilon
-from shadowspec.specification import DEFAULT_HORIZON, transition_times
+from shadowspec.specification import (
+    DEFAULT_HORIZON,
+    check_specification,
+    transition_times,
+)
+from shadowspec.systems import ToralAutomorphism
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -275,24 +285,102 @@ def test_criterion_4_rejects_swapped_tracers(runs):
                 sys, replace(rec, witness_payload=payload))
 
 
+def test_spec_check_measures_each_segment_as_one_form(runs, monkeypatch):
+    # check_specification reads segment j as the form of one true orbit:
+    # one apply (the tracer to its switch time) per segment, and no
+    # distance walk
+    run = runs["c4_spec_cat"]
+    sys = run.config.system
+    a, b = run.records[0].witness_payload, run.records[1].witness_payload
+    segments = [(decode_point(sys, t), n) for t, n in a["segments"]]
+
+    def check(payload):
+        return check_specification(
+            sys, decode_point(sys, payload["tracer"]), a["switchTimes"],
+            a["period"], segments, decode_scalar(a["epsilon"]), a["lo"],
+            a["hi"])
+
+    calls = {"apply": 0, "distance": 0}
+    with monkeypatch.context() as m:
+        for name in calls:
+            def counted(self, *args, _name=name,
+                        _method=getattr(ToralAutomorphism, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            m.setattr(ToralAutomorphism, name, counted)
+        ok, checks, devs = check(a)
+    assert calls == {"apply": len(segments), "distance": 0}
+    k = len(segments)
+    assert ok and [label for label, _ in checks] == \
+        [f"gap[{j}] in [{a['lo']}, {a['hi']}]" for j in range(k)] + \
+        [f"dev[{j}] < epsilon" for j in range(k)]
+    assert [encode_scalar(d) for d in devs] == a["maxDeviations"]
+    # another record's tracer misses the first segment
+    ok, checks, _ = check(b)
+    assert not ok
+    assert next(label for label, good in checks if not good) == \
+        "dev[0] < epsilon"
+
+
+def _barycenter_record_sound(sys, rec):
+    """Criterion 5's per-record claims: N = X = 2 N1 with N1 a multiple of
+    both periods, and the n1 + n2 + 2 tracking inequalities, walked again
+    from the stored x: d(f^i(x), f^i(p)) < epsilon for -n1 <= i <= 0 and
+    d(f^(X+i)(x), f^i(q)) < epsilon for 0 <= i <= n2."""
+    pl = rec.witness_payload
+    half, n_1, n_2 = pl["N1"], pl["n1"], pl["n2"]
+    sound = (rec.outcome == "pass"
+             and pl["X"] == 2 * half and pl["X"] == pl["N"]
+             and half % pl["pPeriod"] == 0
+             and half % pl["qPeriod"] == 0
+             and pl["inequalities"] == n_1 + n_2 + 2)
+    eps = decode_scalar(pl["epsilon"])
+    x = decode_point(sys, pl["x"])
+    p, q = decode_point(sys, pl["p"]), decode_point(sys, pl["q"])
+    walked = 0
+    for cur, ref, n in ((sys.apply(x, -n_1), sys.apply(p, -n_1), n_1),
+                        (sys.apply(x, pl["X"]), q, n_2)):
+        for i in range(n + 1):
+            sound = sound and sys.distance(cur, ref) < eps
+            walked += 1
+            cur, ref = sys.apply(cur), sys.apply(ref)
+    return sound and walked == pl["inequalities"]
+
+
 def test_criterion_5_two_sided_tracking(runs):
     sound = True
     for name in ("c5_cat_fixed", "c5_cat_mixed", "c5_shift"):
+        sys = runs[name].config.system
         for rec in runs[name].records:
-            pl = rec.witness_payload
-            half = pl["N1"]
-            sound = (sound and rec.outcome == "pass"
-                     and pl["X"] == 2 * half and pl["X"] == pl["N"]
-                     and half % pl["pPeriod"] == 0
-                     and half % pl["qPeriod"] == 0
-                     and pl["inequalities"] == 102)
+            sound = (sound and _barycenter_record_sound(sys, rec)
+                     and rec.witness_payload["inequalities"] == 102)
     shift = runs["c5_shift"].records[0].witness_payload
     sound = sound and shift["N1"] == 4 and shift["X"] == 8
     secs = sum(runs[n].seconds
                for n in ("c5_cat_fixed", "c5_cat_mixed", "c5_shift"))
     ok = sound and secs < 5
-    _verdict(5, ok, f"102 inequalities each, shift halfway point 4, "
-             f"runs took {secs:.2f}s")
+    _verdict(5, ok, f"102 inequalities each, re-walked, shift halfway "
+             f"point 4, runs took {secs:.2f}s")
+
+
+@pytest.mark.parametrize("name, x", [("c5_shift", "1~-~0@0"),
+                                     ("c5_cat_fixed", "1/3,1/3")])
+def test_criterion_5_rejects_moved_x(runs, name, x):
+    # every other field stays valid, so only the re-walk from x can notice
+    sys = runs[name].config.system
+    rec = runs[name].records[0]
+    assert _barycenter_record_sound(sys, rec)
+    bad = replace(rec, witness_payload=dict(rec.witness_payload, x=x))
+    assert not replay_verify_record(bad)
+    assert not _barycenter_record_sound(sys, bad)
+
+
+def _distance_sound(sys, pl):
+    """d(z, zHet), recomputed from the decoded points, is the stored
+    distance.  Every shipped witness is cut from z_het itself, so the
+    distance is 0 on shipped data."""
+    d = sys.distance(decode_point(sys, pl["z"]), decode_point(sys, pl["zHet"]))
+    return d == decode_scalar(pl["distance"], D=getattr(sys, "D", 0))
 
 
 def test_criterion_6_intersection_points(runs):
@@ -309,6 +397,7 @@ def test_criterion_6_intersection_points(runs):
             by_eps.setdefault(str(eps), []).append(pl)
             bound = decode_scalar(pl["bound"], D=sys.D)
             sound = (sound and bound == 2 * eps * lam_inv ** pl["depth"]
+                     and _distance_sound(sys, pl)
                      and decode_scalar(pl["distance"], D=sys.D) <= bound)
         sound = sound and all(
             [pl["depth"] for pl in group] == list(range(1, 31))
@@ -318,7 +407,7 @@ def test_criterion_6_intersection_points(runs):
     sound = sound and len(shift_run.records) == 30
     for rec in shift_run.records:
         pl = rec.witness_payload
-        sound = sound and rec.outcome == "pass"
+        sound = sound and rec.outcome == "pass" and _distance_sound(sys, pl)
         # the recovered point must be a single splice: all zeros, one
         # switch, then all ones
         z = decode_point(sys, pl["z"])
@@ -332,7 +421,18 @@ def test_criterion_6_intersection_points(runs):
     _verdict(6, ok, f"150 cuts at depths 1..30, {failures} failures")
 
 
-def _lattice_count(k: int) -> int:
+def test_criterion_6_rejects_moved_z(runs):
+    sys = runs["c6_cat_fixed"].config.system
+    rec = runs["c6_cat_fixed"].records[0]
+    assert _distance_sound(sys, rec.witness_payload)
+    bad = replace(rec, witness_payload=dict(rec.witness_payload, z="1/3,1/3"))
+    assert bad.witness_payload["distance"] == "sqrt(0)"
+    assert not replay_verify_record(bad)
+    assert not _distance_sound(sys, bad.witness_payload)
+
+
+def _cat_power(k: int):
+    """A^k for the cat map A = [[2, 1], [1, 1]], multiplied out here."""
     a = ((2, 1), (1, 1))
     m = a
     for _ in range(k - 1):
@@ -340,21 +440,48 @@ def _lattice_count(k: int) -> int:
               m[0][0] * a[0][1] + m[0][1] * a[1][1]),
              (m[1][0] * a[0][0] + m[1][1] * a[1][0],
               m[1][0] * a[0][1] + m[1][1] * a[1][1]))
+    return m
+
+
+def _lattice_count(k: int) -> int:
+    m = _cat_power(k)
     return abs((m[0][0] - 1) * (m[1][1] - 1) - m[0][1] * m[1][0])
+
+
+def _periodic_record_sound(sys, rec):
+    """Criterion 7's per-record claims: the lattice count, points fixed by
+    A^k (applied here with ``_cat_power``) and distinct by value, and
+    periods at most k."""
+    pl = rec.witness_payload
+    k = pl["k"]
+    m = _cat_power(k)
+    points = [decode_point(sys, text) for text in pl["points"]]
+    fixed = all(tuple((r0 * x + r1 * y).mod1() for r0, r1 in m) == (x, y)
+                for x, y in (pt.coords for pt in points))
+    return (rec.outcome == "pass" and fixed
+            and pl["count"] == pl["expectedCount"] == _lattice_count(k)
+            and len(set(points)) == pl["count"]
+            and all(p <= k for p in pl["periods"]))
 
 
 def test_criterion_7_periodic_point_counts(runs):
     run = runs["c7_periodic"]
+    sys = run.config.system
     counts = [rec.witness_payload["count"] for rec in run.records]
-    sound = all(rec.outcome == "pass" for rec in run.records)
-    for rec in run.records:
-        pl = rec.witness_payload
-        k = pl["k"]
-        sound = (sound and pl["count"] == pl["expectedCount"] == _lattice_count(k)
-                 and len(set(pl["points"])) == pl["count"]
-                 and all(p <= k for p in pl["periods"]))
+    sound = all(_periodic_record_sound(sys, rec) for rec in run.records)
     ok = sound and counts == [1, 5, 16, 45, 121, 320]
     _verdict(7, ok, f"counts {counts}")
+
+
+def test_criterion_7_rejects_unfixed_points(runs):
+    sys = runs["c7_periodic"].config.system
+    rec = runs["c7_periodic"].records[1]
+    assert rec.witness_payload["k"] == 2 and _periodic_record_sound(sys, rec)
+    points = [f"{i}/7,0" for i in range(1, 6)]
+    bad = replace(rec, witness_payload=dict(rec.witness_payload,
+                                            points=points))
+    assert not replay_verify_record(bad)
+    assert not _periodic_record_sound(sys, bad)
 
 
 def test_criterion_8_falsification_and_refusal(runs):

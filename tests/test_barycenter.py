@@ -8,7 +8,6 @@ import pytest
 from shadowspec import barycenter
 from shadowspec.barycenter import (
     BarycenterWitness,
-    _anchor,
     as_periodic,
     barycenter_point,
     cut_witness,
@@ -25,7 +24,6 @@ from shadowspec.errors import (
     InternalInvariantError,
     NotRelatedError,
 )
-from shadowspec.pseudo_orbits import orbit
 from shadowspec.scalars import QuadraticNumber, SqrtVal
 from shadowspec.systems import (
     ShiftSpace,
@@ -272,27 +270,6 @@ def _ranges_hold(sys_, x, X, p, q, eps, n_1, n_2):
     fwd = all(sys_.distance(sys_.apply(x, X + i), sys_.apply(q.point, i)) < eps
               for i in range(n_2 + 1))
     return back, fwd
-
-
-def _anchor_cases():
-    cat = cat_map()
-    sh = full_shift(2)
-    # c5_cat_mixed's p (period 1) and q (period 2), 0^inf and 1^inf on the
-    # full shift, and period 3 on both, where i and -i differ mod the period
-    return [(cat, as_periodic(cat, cat.point(0, 0))),
-            (cat, as_periodic(cat, cat.point(Fraction(1, 5), Fraction(2, 5)))),
-            (cat, next(hp for hp in periodic_points(cat, 3) if hp.period == 3)),
-            (sh, as_periodic(sh, SymbolicPoint.periodic((0,)))),
-            (sh, as_periodic(sh, SymbolicPoint.periodic((1,)))),
-            (sh, as_periodic(sh, SymbolicPoint.periodic((0, 0, 1))))]
-
-
-@pytest.mark.parametrize("case", range(6))
-def test_anchor_reads_orbit_off_one_period(case):
-    sys_, p = _anchor_cases()[case]
-    for lo, n in ((0, 0), (0, 7), (-1, 4), (-7, 7), (-50, 50), (3, 5)):
-        oracle = orbit(sys_, sys_.apply(p.point, lo), n)
-        assert _anchor(sys_, p, lo, n) == oracle, (lo, n)
 
 
 def _stepped_window(sys_, t, eps, backward):

@@ -22,7 +22,6 @@ from shadowspec.pseudo_orbits import (
     deviations,
     drift_orbit,
     from_true_orbit,
-    max_deviation,
     orbit,
     perturbed_orbit,
 )
@@ -458,7 +457,7 @@ def test_deviations_match_direct_oracle(name):
     assert max(oracle) > max(oracle[:-1])
     assert orbit(sys_, x, 12) == [sys_.apply(x, n) for n in range(13)]
     assert list(deviations(sys_, x, pts)) == oracle
-    assert encode_scalar(max_deviation(sys_, x, pts)) == \
+    assert encode_scalar(PseudoOrbit(sys_, 0, pts).max_deviation(x)) == \
         encode_scalar(max(oracle))
     back = [sys_.apply(x, -n) for n in range(13)]
     assert orbit(sys_, x, 12, step=-1) == back
@@ -471,8 +470,61 @@ def test_max_deviation_of_one_point(name):
     sys_, x, pts = _deviation_case(name)
     assert orbit(sys_, x, 0) == [x]
     for y in (x, pts[-1]):
-        assert encode_scalar(max_deviation(sys_, x, [y])) == \
+        assert encode_scalar(PseudoOrbit(sys_, 0, [y]).max_deviation(x)) == \
             encode_scalar(sys_.distance(x, y))
+
+
+def _true_orbit_cases():
+    """(system, x): periodic anchors first (the fixed points and a point of
+    period 2 and 3 on the cat map, 0^inf, 1^inf and (001)^inf on the full
+    2-shift), then rational and irrational points of the cat map and of
+    [[3, 1], [2, 1]] (D = 12), and points with distinct tails on the full
+    shift and the golden mean."""
+    cat, d12 = cat_map(), ToralAutomorphism([[3, 1], [2, 1]])
+    sh, gm = full_shift(2), golden_mean_shift()
+    period3 = next(pt for pt in (cat.point(Fraction(i, 4), Fraction(j, 4))
+                                 for i in range(4) for j in range(4))
+                   if cat.apply(pt, 3) == pt and cat.apply(pt) != pt)
+    return [(cat, cat.point(0, 0)),
+            (cat, cat.point(Fraction(1, 5), Fraction(2, 5))),
+            (cat, period3),
+            (sh, SymbolicPoint.periodic((0,))),
+            (sh, SymbolicPoint.periodic((1,))),
+            (sh, SymbolicPoint.periodic((0, 0, 1))),
+            (cat, cat.point(Fraction(3, 17), Fraction(5, 11))),
+            (cat, cat.point(QuadraticNumber(5, 1, 1, 7),
+                            QuadraticNumber(5, 2, -1, 9))),
+            (d12, d12.point(0, 0)),
+            (d12, d12.point(Fraction(1, 6), Fraction(5, 9))),
+            (d12, d12.point(QuadraticNumber(12, 0, 1, 7), Fraction(1, 3))),
+            (sh, SymbolicPoint((0,), (1, 1, 0, 1), (1, 0), 2)),
+            (gm, gm.point_through((1, 0, 0, 1, 0, 1), at=-2)),
+            (gm, SymbolicPoint.periodic((0, 1)))]
+
+
+def _unrelated_tracers(sys_):
+    if isinstance(sys_, ShiftSpace):
+        return [sys_.point_through(w, at=-3) for w in
+                ((0, 1, 0, 0, 1, 0, 1), (1, 0, 1, 0, 0, 0, 0), (0, 0))]
+    return [sys_.point(Fraction(2, 3), Fraction(1, 7)),
+            sys_.point(QuadraticNumber(sys_.D, 3, 1, 11), Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("case", range(14))
+def test_true_orbit_form_matches_walked_orbit(case):
+    # the walk through ``apply`` and ``distance`` is the oracle for the
+    # form ``from_true_orbit`` builds and the kernels that read it
+    sys_, x = _true_orbit_cases()[case]
+    for a, b in ((0, 0), (0, 7), (-1, 3), (-7, 0), (-50, 0), (3, 8),
+                 (-5, 20)):
+        po = from_true_orbit(sys_, x, a, b)
+        oracle = orbit(sys_, sys_.apply(x, a), b - a)
+        assert po.index_range == (a, b) and len(po) == len(oracle)
+        assert po.points == oracle and list(po.points) == oracle, (a, b)
+        assert po.point(b) == oracle[-1] and po.gap == 0
+        for t in [oracle[0], *_unrelated_tracers(sys_)]:
+            assert encode_scalar(po.max_deviation(t)) == \
+                encode_scalar(max(deviations(sys_, t, oracle))), (a, b, t)
 
 
 # -- the rotation integer lane ------------------------------------------------
@@ -530,7 +582,7 @@ def test_rotation_lane_matches_distance_walk(seed):
         dev = sys_.max_orbit_deviation(x, form)
         walk = _rotation_walk(sys_, x, pts)
         assert type(dev) is Fraction and dev == walk, label
-        assert encode_scalar(max_deviation(sys_, x, pts)) == \
+        assert encode_scalar(PseudoOrbit(sys_, 0, pts).max_deviation(x)) == \
             encode_scalar(walk), label
         gap, gap_walk = sys_.max_jump(form), _rotation_gap_walk(sys_, pts)
         assert type(gap) is Fraction and gap == gap_walk, label
@@ -547,11 +599,11 @@ def test_rotation_lane_rejects_malformed_points(bad, message):
     sys_ = CircleRotation(Fraction(377, 610))
     good = [Fraction(1, 3), Fraction(2, 5), Fraction(7, 8)]
     with pytest.raises(MalformedPointError, match=message):
-        max_deviation(sys_, bad, good)
+        PseudoOrbit(sys_, 0, good).max_deviation(bad)
     for i in range(len(good) + 1):
         pts = good[:i] + [bad] + good[i:]
         with pytest.raises(MalformedPointError, match=message):
-            max_deviation(sys_, good[0], pts)
+            PseudoOrbit(sys_, 0, pts).max_deviation(good[0])
         with pytest.raises(MalformedPointError, match=message):
             PseudoOrbit(sys_, 0, pts).gap
 

@@ -19,7 +19,6 @@ from shadowspec.errors import SchemaMismatchError
 from shadowspec.pseudo_orbits import (
     PseudoOrbit,
     from_true_orbit,
-    max_deviation,
     orbit,
     perturbed_orbit,
 )
@@ -392,7 +391,8 @@ def _generic_max_deviation(sys, po, tracer, start):
 
 
 def _lane_max_deviation(sys, po, tracer, start):
-    return max_deviation(sys, sys.apply(tracer, po.start - start), po.points)
+    return PseudoOrbit(sys, 0, po.points).max_deviation(
+        sys.apply(tracer, po.start - start))
 
 
 def _toral_cases(name):
