@@ -34,6 +34,7 @@ from .systems import (
     SymbolicPoint,
     ToralAutomorphism,
     TorusPoint,
+    _depth,
 )
 
 # Perturbation offsets are drawn from a lattice of this resolution inside the
@@ -237,11 +238,11 @@ def _perturbed_sft(sys: ShiftSpace, x, a: int, b: int, delta, rng):
     # sigma^(a+n)(x) with its flips written over it: the flips are the
     # orbit's edit form, and no point is made here.
     sys.validate_point(x)
-    k = 0
-    while Fraction(1, 2**k) > delta:
-        k += 1
-        if k > 64:  # delta below representable flip depth; nothing to do
-            return from_true_orbit(sys, x, a, b)
+    if not isinstance(delta, (int, Fraction)):
+        raise CalibrationError(f"shift delta {delta} is not rational")
+    k = _depth(delta)
+    if k > 64:  # delta below representable flip depth; nothing to do
+        return from_true_orbit(sys, x, a, b)
     flips = [*range(-k - _FLIP_SPAN, -k + 1),
              *range(k + 1, k + _FLIP_SPAN + 2)]
     # X holds x's symbols on [lo, hi), every index a flip or a neighbour
@@ -255,8 +256,10 @@ def _perturbed_sft(sys: ShiftSpace, x, a: int, b: int, delta, rng):
 
     T = sys.transition
     alphabet = range(sys.alphabet_size)
-    allowed = {}  # (before, old, after) -> the symbols a flip may write
-    bits, pick = rng.getrandbits, rng.randrange
+    # (before, old, after) -> (the symbols a flip may write, their count n,
+    # the bit length of n)
+    allowed = {}
+    bits = rng.getrandbits
     form = []
     for s in range(a, b + 1):
         # A flip is admitted against both current neighbours: the one
@@ -267,13 +270,21 @@ def _perturbed_sft(sys: ShiftSpace, x, a: int, b: int, delta, rng):
                 continue
             i = s + j - lo
             key = edits.get(j - 1, X[i - 1]), X[i], X[i + 1]
-            choices = allowed.get(key)
-            if choices is None:
+            pick = allowed.get(key)
+            if pick is None:
                 before, old, after = key
-                choices = allowed[key] = [c for c in alphabet if c != old
-                                          and T[before][c] and T[c][after]]
-            if choices:
-                edits[j] = choices[pick(len(choices))]
+                choices = [c for c in alphabet if c != old
+                           and T[before][c] and T[c][after]]
+                pick = allowed[key] = (choices, len(choices),
+                                       len(choices).bit_length())
+            choices, n, m = pick
+            if n:
+                # randrange(n), drawn as CPython's randrange draws it: m
+                # random bits, redrawn while they reach n
+                c = bits(m)
+                while c >= n:
+                    c = bits(m)
+                edits[j] = choices[c]
         form.append((x, read, s, edits))
     return PseudoOrbit(sys, a, _FormPoints(
         form, len(form), lambda n: _edited_point(x, *form[n][2:])))

@@ -28,6 +28,7 @@ from .systems import (
     ShiftSpace,
     SymbolicPoint,
     ToralAutomorphism,
+    _depth,
     _max_pair,
     _pair_mul,
 )
@@ -69,9 +70,7 @@ def delta_for_epsilon(sys, epsilon):
         eps = Fraction(epsilon)
         if eps <= 0:
             raise ValueError("epsilon must be positive")
-        # the least k with 2^-k <= eps, i.e. 2^k >= ceil(1/eps)
-        k = (-(-eps.denominator // eps.numerator) - 1).bit_length()
-        return Fraction(1, 2 ** (k + 1))
+        return Fraction(1, 2 ** (_depth(eps) + 1))
     if isinstance(sys, ToralAutomorphism):
         eps = sys.scalar(epsilon) if not isinstance(epsilon, QuadraticNumber) \
             else epsilon

@@ -103,6 +103,35 @@ def _entry_window(p, s: int, edits, r: int) -> Word:
 _NO_EDITS = MappingProxyType({})
 
 
+def _depth(radius) -> int:
+    """The least k >= 0 with 2^-k <= radius, for a rational radius > 0:
+    points that agree at every |index| < k lie within radius.
+
+    2^k >= 1/radius exactly when 2^k >= ceil(1/radius), and the least such
+    k is the bit length of ceil(1/radius) - 1.
+    """
+    r = Fraction(radius)
+    return (-(-r.denominator // r.numerator) - 1).bit_length()
+
+
+def _edit_floor(form) -> int:
+    """A k such that no jump of the edit form ``form`` differs at an
+    |index| below k.
+
+    When every entry shares the first one's ``read`` and s steps by one,
+    sigma(y_n) and y_(n+1) can differ only at i - 1 for an index i edited
+    in y_n or at i for one edited in y_(n+1), so k is the least
+    min(|i|, |i - 1|) over the edited indices (0 when none is).
+    Otherwise k is 0.
+    """
+    _, read, s0, _ = form[0]
+    if any(r is not read or s != s0 + n
+           for n, (_, r, s, _) in enumerate(form)):
+        return 0
+    edited = set().union(*(e for *_, e in form))
+    return min((min(abs(i), abs(i - 1)) for i in edited), default=0)
+
+
 class SymbolicPoint:
     """An eventually periodic bi-infinite symbol sequence.
 
@@ -465,10 +494,17 @@ class ShiftSpace:
 
     def max_jump(self, form) -> Fraction:
         """max_n d(sigma(y_n), y_(n+1)) over the points of the edit form
-        ``form``; 0 for one point."""
-        best = None
+        ``form``; 0 for one point.
+
+        The scan stops at a jump that reaches the least k any jump can
+        have: 0, or on a seeded form the ``_edit_floor``, decided at its
+        first pair that shares a base.
+        """
+        best = floor = None
         for (p, read, s, e), (q, read_q, t, g) in zip(form, form[1:]):
             if read is read_q and t == s + 1:
+                if floor is None:
+                    floor = _edit_floor(form)
                 # sigma(y_n) and y_(n+1) both read base symbol t + j at
                 # index j, so they can differ only where either is edited
                 # (and an edit differs from the base symbol it covers)
@@ -482,7 +518,7 @@ class ShiftSpace:
                                       _entry_window(q, t, g, limit), limit)
             if k is not None and (best is None or k < best):
                 best = k
-                if not k:
+                if not k or k == floor:
                     break
         return Fraction(0) if best is None else Fraction(1, 2**best)
 

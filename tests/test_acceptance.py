@@ -132,6 +132,20 @@ def _walked_deviation(sys, payload):
     return worst, gap
 
 
+def _shadow_record_sound(sys, rec) -> bool:
+    """One c1 record re-walked: its delta is the calibrated one, its
+    pseudo-orbit's gap stays within it, and its tracer stays within epsilon
+    at the stored maximal deviation."""
+    pl = rec.witness_payload
+    eps = decode_scalar(pl["epsilon"])
+    delta = decode_scalar(pl["delta"])
+    worst, gap = _walked_deviation(sys, pl)
+    return (rec.outcome == "pass"
+            and delta == delta_for_epsilon(sys, eps)
+            and gap <= delta and worst < eps
+            and worst == decode_scalar(pl["maxDeviation"]))
+
+
 def test_criterion_1_random_shift_orbits(runs):
     total, sound = 0, True
     for name in ("c1_full_shift", "c1_golden_mean"):
@@ -139,17 +153,24 @@ def test_criterion_1_random_shift_orbits(runs):
         sys = run.config.system
         for rec in run.records:
             total += 1
-            pl = rec.witness_payload
-            eps = decode_scalar(pl["epsilon"])
-            delta = decode_scalar(pl["delta"])
-            worst, gap = _walked_deviation(sys, pl)
-            sound = (sound and rec.outcome == "pass"
-                     and delta == delta_for_epsilon(sys, eps)
-                     and gap <= delta and worst < eps
-                     and worst == decode_scalar(pl["maxDeviation"]))
+            sound = _shadow_record_sound(sys, rec) and sound
     secs = runs["c1_full_shift"].seconds + runs["c1_golden_mean"].seconds
     ok = total == 1000 and sound and secs < 10
     _verdict(1, ok, f"{total} orbits re-walked, run took {secs:.2f}s")
+
+
+def test_criterion_1_rejects_swapped_tracer(runs):
+    # every other field of record 0 stays valid, so only the re-walk of
+    # the tracer can notice that it traces record 1's pseudo-orbit
+    run = runs["c1_full_shift"]
+    sys = run.config.system
+    a, b = run.records[0], run.records[1]
+    assert a.witness_payload["tracer"] != b.witness_payload["tracer"]
+    assert _shadow_record_sound(sys, a) and _shadow_record_sound(sys, b)
+    swapped = replace(a, witness_payload=dict(
+        a.witness_payload, tracer=b.witness_payload["tracer"]))
+    assert not _shadow_record_sound(sys, swapped)
+    assert replay_verify_record(swapped) is False
 
 
 def test_criterion_2_long_exact_toral_orbits(runs):

@@ -26,7 +26,7 @@ from shadowspec.pseudo_orbits import (
     perturbed_orbit,
 )
 from shadowspec.runner import _window_chains
-from shadowspec.scalars import QuadraticNumber
+from shadowspec.scalars import QuadraticNumber, SqrtVal
 from shadowspec.shadowing import delta_for_epsilon, shadow_sft
 from shadowspec.systems import (
     CircleRotation,
@@ -34,6 +34,7 @@ from shadowspec.systems import (
     ShiftSpace,
     SymbolicPoint,
     ToralAutomorphism,
+    _depth,
     cat_map,
     full_shift,
     golden_mean_shift,
@@ -103,11 +104,14 @@ class TestPerturb:
         fs = full_shift(2)
         x = fs.point_through((0, 1, 1, 0), at=-2)
         true = from_true_orbit(fs, x, 0, 6).points
-        # flips start at |index| 64 for delta 2^-64 and at none below it
-        assert perturbed_orbit(fs, x, 0, 6, Fraction(1, 2**64), 9).points \
-            != true
-        assert perturbed_orbit(fs, x, 0, 6, Fraction(1, 2**65), 9).points \
-            == true
+        # flips start at |index| 64 for delta 2^-64 and 1/(2^64 - 1), and
+        # at none below 2^-64
+        for delta, flips in ((Fraction(1, 2**64 - 1), True),
+                             (Fraction(1, 2**64), True),
+                             (Fraction(1, 2**64 + 1), False),
+                             (Fraction(1, 2**65), False)):
+            po = perturbed_orbit(fs, x, 0, 6, delta, 9)
+            assert (po.points != true) is flips, delta
 
     def test_same_seed_same_orbit(self):
         sys_ = cat_map()
@@ -164,12 +168,19 @@ class TestPerturb:
         assert not calls
 
 
-def _perturb_sft_by_flips(sys, po, delta, rng):
-    """Slow oracle for the shift lane of ``perturbed_orbit``: one
-    ``with_symbol`` rebuild per flip on each point of ``po``."""
+def _depth_by_halving(delta):
+    """The least k with 2^-k <= delta, by halving: the oracle for
+    ``_depth``."""
     k = 0
     while Fraction(1, 2**k) > delta:
         k += 1
+    return k
+
+
+def _perturb_sft_by_flips(sys, po, delta, rng):
+    """Slow oracle for the shift lane of ``perturbed_orbit``: one
+    ``with_symbol`` rebuild per flip on each point of ``po``."""
+    k = _depth_by_halving(delta)
     out = []
     for p in po.points:
         q = p
@@ -210,7 +221,8 @@ def _assert_same_perturbation(monkeypatch, sys, x, a, b, delta, rng_fast,
 
 
 class _ScriptedRng:
-    """Answers getrandbits from a script and always picks the first symbol."""
+    """Answers getrandbits from a script; randrange(n) draws through it as
+    CPython's does, n.bit_length() bits redrawn while they reach n."""
 
     def __init__(self, bits):
         self.bits = iter(bits)
@@ -219,7 +231,16 @@ class _ScriptedRng:
         return next(self.bits)
 
     def randrange(self, n):
-        return 0
+        r = self.getrandbits(n.bit_length())
+        while r >= n:
+            r = self.getrandbits(n.bit_length())
+        return r
+
+
+# On the full 2-shift a flip has one choice, yet randrange(1) still draws
+# one bit, redrawn until it is 0: in a bit script each flip's 1 is
+# followed by this pick.
+_PICK = 0
 
 
 class TestPerturbSftOracle:
@@ -227,6 +248,10 @@ class TestPerturbSftOracle:
         "full": full_shift(2),
         "golden": golden_mean_shift(),
         "sft3": ShiftSpace([[1, 1, 0], [0, 1, 1], [1, 1, 1]]),
+        # a flip has 3 choices on the full 4-shift and 4 on the full
+        # 5-shift: picks of 2 and 3 bits, redrawn at 3 and at 4..7
+        "full4": full_shift(4),
+        "full5": full_shift(5),
     }
     STARTS = {
         "full": [SymbolicPoint.periodic((0,)), SymbolicPoint.periodic((0, 1, 1)),
@@ -236,6 +261,12 @@ class TestPerturbSftOracle:
                    SymbolicPoint((0,), (), (0, 1), -4)],
         "sft3": [SymbolicPoint.periodic((1,)), SymbolicPoint.periodic((0, 1, 2)),
                  SymbolicPoint((0,), (), (1,), 5)],
+        "full4": [SymbolicPoint.periodic((0,)),
+                  SymbolicPoint.periodic((0, 1, 2, 3)),
+                  SymbolicPoint((3,), (2, 0, 1), (1,), -2)],
+        "full5": [SymbolicPoint.periodic((4,)),
+                  SymbolicPoint.periodic((0, 2, 4, 1, 3)),
+                  SymbolicPoint((0,), (4, 3), (2,), 6)],
     }
 
     def _starts(self, name, rng):
@@ -250,7 +281,8 @@ class TestPerturbSftOracle:
             starts.append(sys_.point_through(word, at=rng.randrange(-12, 12)))
         return starts
 
-    @pytest.mark.parametrize("name", ["full", "golden", "sft3"])
+    @pytest.mark.parametrize("name", ["full", "golden", "sft3", "full4",
+                                      "full5"])
     def test_batched_flips_match_per_flip_rebuilds(self, name, monkeypatch):
         sys_ = self.SYSTEMS[name]
         draw = random.Random(name)
@@ -270,7 +302,7 @@ class TestPerturbSftOracle:
         # result sits at offset -5, not at the -3 of the starting core.
         sys_ = full_shift(2)
         x = SymbolicPoint((0,), (1, 0, 1), (0,), -3)
-        bits = [0] * 9 + [1, 0, 1] + [0] * 6
+        bits = [0] * 9 + [1, _PICK, 0, 1, _PICK] + [0] * 6
         _assert_same_perturbation(monkeypatch, sys_, x, 0, 0, Fraction(1, 4),
                                   _ScriptedRng(bits), _ScriptedRng(bits))
         q = _perturbed_with(monkeypatch, _ScriptedRng(bits), sys_, x, 0, 0,
@@ -282,7 +314,8 @@ class TestPerturbSftOracle:
         # y_1 index 3, so sigma(y_0) = y_1: both are edited at index 3, with
         # one symbol, and the gap is 0
         sys_ = full_shift(2)
-        bits = [0] * 10 + [1] + [0] * 7 + [0] * 9 + [1] + [0] * 8
+        bits = [0] * 10 + [1, _PICK] + [0] * 7 + \
+            [0] * 9 + [1, _PICK] + [0] * 8
         po = _perturbed_with(monkeypatch, _ScriptedRng(bits), sys_,
                              SymbolicPoint.periodic((0,)), 0, 1,
                              Fraction(1, 4))
@@ -731,3 +764,74 @@ def test_shift_kernels_on_explicit_window_chains(name, width, length):
         tracer = shadow_sft(sys_, po, eps).tracer
         assert sys_.max_orbit_deviation(tracer, po.form) == \
             max(deviations(sys_, tracer, points)), chain
+
+
+def _edit_form(x, s0, edit_dicts):
+    """A seeded-shaped edit form: one base x and one ``read``, s stepping by
+    one from s0, with each point's edits."""
+    read = x.symbol
+    return [(x, read, s0 + n, e) for n, e in enumerate(edit_dicts)]
+
+
+def _edit_form_points(form):
+    """The points of an edit form, one ``with_symbol`` rebuild per edit."""
+    points = []
+    for p, _, s, e in form:
+        q = p.shifted(s)
+        for j, c in e.items():
+            q = q.with_symbol(j, c)
+        points.append(q)
+    return points
+
+
+_ZEROS = SymbolicPoint.periodic((0,))
+
+
+@pytest.mark.parametrize("edit_dicts, gap", [
+    # the least jump, at the floor 3 of the edit at 4, sits only in the last
+    # pair; the pairs before it differ at 9 and 8
+    ([{6: 1, 10: 1}, {5: 1}, {4: 1, 8: 1}, {7: 1}], Fraction(1, 8)),
+    # the floor 2 comes from the edit at -2, which the shift carries to -3
+    # in the next point: no jump reaches it, and the least jump, at 3,
+    # sits in the last pair after one at 4
+    ([{-2: 1}, {-3: 1}, {}, {-3: 1}], Fraction(1, 8)),
+    # the floor 3 comes from the edit at 4 through |4 - 1|: the first pair
+    # differs at 4, one above it, and the scan must go on to the 3 after it
+    ([{}, {4: 1}, {4: 1}], Fraction(1, 8)),
+], ids=["last-pair", "carried-edit", "one-above-floor"])
+def test_gap_scan_stops_only_at_a_reached_floor(edit_dicts, gap):
+    sys_ = full_shift(2)
+    form = _edit_form(_ZEROS, 0, edit_dicts)
+    assert sys_.max_jump(form) == _shift_gap_walk(
+        sys_, _edit_form_points(form)) == gap
+
+
+def test_explicit_pair_after_a_seeded_pair_keeps_scanning():
+    # the seeded pair differs at 4, the floor of its edits; the explicit
+    # point after it differs from sigma(y_1) at 1, below that floor
+    sys_ = full_shift(2)
+    form = _edit_form(_ZEROS, 0, [{5: 1}, {}])
+    z = _ZEROS.with_symbol(1, 1)
+    form += sys_.tracking_form([z])
+    points = _edit_form_points(form)
+    assert sys_.max_jump(form[:2]) == _shift_gap_walk(sys_, points[:2]) == \
+        Fraction(1, 16)
+    assert sys_.max_jump(form) == _shift_gap_walk(sys_, points) == \
+        Fraction(1, 2)
+
+
+def test_flip_depth_matches_halving_loop():
+    deltas = [1, 2, 10**9, Fraction(3, 2), Fraction(1, 1)]
+    deltas += [Fraction(p, q) for q in range(1, 70) for p in range(1, q)]
+    deltas += [Fraction(1, 2**64 + d) for d in (-1, 0, 1)]
+    deltas += [Fraction(3, 2**66 + d) for d in (-1, 0, 1)]
+    deltas += [Fraction(1, 2**65), Fraction(2**63 + 1, 2**127)]
+    for delta in deltas:
+        assert _depth(delta) == _depth_by_halving(delta), delta
+
+
+def test_sft_delta_must_be_rational():
+    fs = full_shift(2)
+    with pytest.raises(CalibrationError, match="not rational"):
+        perturbed_orbit(fs, fs.point_through((0, 1)), 0, 3,
+                        SqrtVal(Fraction(1, 16)), 5)
