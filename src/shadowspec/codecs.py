@@ -40,8 +40,23 @@ def encode_scalar(x) -> str:
     raise TypeError(f"no scalar encoding for {type(x).__name__}")
 
 
+# Decoded scalars kept by ``_decode_scalar``: a report repeats few distinct
+# scalar texts (c3's 2048 records hold two, "1/8" and "1/16").
+_SCALAR_MEMO_SIZE = 1024
+
+
 def decode_scalar(text: str, D: int = 0):
-    text = text.strip()
+    return _decode_scalar(text.strip(), D)
+
+
+@lru_cache(maxsize=_SCALAR_MEMO_SIZE)
+def _decode_scalar(text: str, D: int):
+    """The scalar a stripped text names, over Q(sqrt(D)) when D is not 0.
+
+    Fractions, ``QuadraticNumber`` and ``SqrtVal`` are immutable, so
+    callers may share the returned value.  The key holds D, and a malformed
+    text raises every time.
+    """
     if text.startswith("sqrt(") and text.endswith(")"):
         return SqrtVal(decode_scalar(text[5:-1], D))
     if "√" in text:

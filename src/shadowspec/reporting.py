@@ -33,6 +33,7 @@ SCHEMA_VERSION = 1
 
 _FIELDS = ("schemaVersion", "checkKind", "systemDigest", "parameters",
            "outcome", "witnessPayload", "timingMillis", "seed")
+_FIELD_SET = frozenset(_FIELDS)
 _OUTCOMES = ("pass", "fail", "error")
 
 
@@ -95,9 +96,9 @@ class ReportRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReportRecord":
-        if set(d) != set(_FIELDS):
-            missing = set(_FIELDS) - set(d)
-            extra = set(d) - set(_FIELDS)
+        if d.keys() != _FIELD_SET:
+            missing = _FIELD_SET - d.keys()
+            extra = d.keys() - _FIELD_SET
             raise SchemaMismatchError(
                 f"record fields off: missing {sorted(missing)}, extra {sorted(extra)}")
         if d["schemaVersion"] != SCHEMA_VERSION:
@@ -110,8 +111,12 @@ class ReportRecord:
                    schema_version=d["schemaVersion"])
 
 
+# json.dumps with these options would build a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(d: dict) -> str:
-    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(d)
 
 
 def records_to_jsonl(records) -> str:

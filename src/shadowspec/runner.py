@@ -133,15 +133,16 @@ def _epsilon_pairs(sys, check: dict):
     return [(eps, check.get("delta")) for eps in _epsilon_list(check)]
 
 
-def _shadow_record(ctx: _Ctx, po, po_spec: dict, eps, delta,
+def _shadow_record(ctx: _Ctx, po, po_spec: dict, eps, delta, encoded,
                    seed: int) -> ReportRecord:
-    """The pass or fail record of tracing ``po`` at (eps, delta)."""
+    """The pass or fail record of tracing ``po`` at (eps, delta); ``encoded``
+    holds their texts, made once per (eps, delta)."""
     result = shadow(ctx.sys, po, eps)
     ok = po.gap <= delta and result.max_deviation < eps
     payload = {
         "pseudoOrbit": po_spec,
-        "epsilon": encode_scalar(eps),
-        "delta": encode_scalar(delta),
+        "epsilon": encoded[0],
+        "delta": encoded[1],
         "tracer": encode_point(ctx.sys, result.tracer),
         "start": result.start,
         "maxDeviation": encode_scalar(result.max_deviation),
@@ -157,6 +158,7 @@ def _run_shadowing(sys, check: dict, ctx: _Ctx):
         return _run_exhaustive(sys, check, ctx)
     records = []
     for eps, delta in _epsilon_pairs(sys, check):
+        encoded = None
         for _ in range(check.get("count", 1)):
             seed_i = ctx.rng.getrandbits(32)
             sub = random.Random(seed_i)
@@ -169,12 +171,14 @@ def _run_shadowing(sys, check: dict, ctx: _Ctx):
             with ctx.attempt(records, seed_i):
                 if delta is None:  # calibrated once per epsilon, if at all
                     delta = delta_for_epsilon(sys, eps)
+                if encoded is None:
+                    encoded = encode_scalar(eps), encode_scalar(delta)
                 po = perturbed_orbit(sys, x0, 0, npts - 1, delta, orbit_seed)
                 po_spec = {"kind": "seeded", "x": encode_point(sys, x0),
                            "a": 0, "b": npts - 1,
-                           "delta": encode_scalar(delta), "seed": orbit_seed}
+                           "delta": encoded[1], "seed": orbit_seed}
                 records.append(_shadow_record(ctx, po, po_spec, eps, delta,
-                                              seed_i))
+                                              encoded, seed_i))
     return records
 
 
@@ -210,6 +214,7 @@ def _run_exhaustive(sys, check: dict, ctx: _Ctx):
         raise ConfigError("config-invariant", 0, "exhaustive mode needs epsilon")
     eps = check["epsilon"]
     delta = check["delta"] if "delta" in check else delta_for_epsilon(sys, eps)
+    encoded = encode_scalar(eps), encode_scalar(delta)
     at = -(width // 2)
     # each window's point and text, built once and shared by every chain
     points = {w: sys.point_through(w, at) for w in sys.words(width)}
@@ -221,7 +226,7 @@ def _run_exhaustive(sys, check: dict, ctx: _Ctx):
                        "points": [texts[w] for w in chain]}
             po = PseudoOrbit(sys, 0, [points[w] for w in chain])
             records.append(_shadow_record(ctx, po, po_spec, eps, delta,
-                                          ctx.base_seed))
+                                          encoded, ctx.base_seed))
     return records
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     CalibrationError,
@@ -64,13 +64,20 @@ def _expansion_constant(sys: ToralAutomorphism):
     return c * kappa
 
 
+@lru_cache(maxsize=64)
+def _shift_delta(epsilon) -> Fraction:
+    """The shift calibration 2^-(k+1), k the flip depth of epsilon: the
+    same for every shift, and computed once per epsilon, not per record."""
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    return Fraction(1, 2 ** (_depth(eps) + 1))
+
+
 def delta_for_epsilon(sys, epsilon):
     """The jump tolerance under which every pseudo-orbit is epsilon-traced."""
     if isinstance(sys, ShiftSpace):
-        eps = Fraction(epsilon)
-        if eps <= 0:
-            raise ValueError("epsilon must be positive")
-        return Fraction(1, 2 ** (_depth(eps) + 1))
+        return _shift_delta(epsilon)
     if isinstance(sys, ToralAutomorphism):
         eps = sys.scalar(epsilon) if not isinstance(epsilon, QuadraticNumber) \
             else epsilon

@@ -102,6 +102,16 @@ def _entry_window(p, s: int, edits, r: int) -> Word:
 # The edits of an unedited point in an edit form (see ShiftSpace).
 _NO_EDITS = MappingProxyType({})
 
+# Every shift distance is 0 or 2^-k; these are built once and shared, as
+# Fractions are immutable.
+_ZERO = Fraction(0)
+_DYADIC = tuple(Fraction(1, 1 << k) for k in range(128))
+
+
+def _dyadic(k: int) -> Fraction:
+    """2^-k, from ``_DYADIC`` when k is in it."""
+    return _DYADIC[k] if k < len(_DYADIC) else Fraction(1, 1 << k)
+
 
 def _depth(radius) -> int:
     """The least k >= 0 with 2^-k <= radius, for a rational radius > 0:
@@ -141,9 +151,15 @@ class SymbolicPoint:
     so the core occupies absolute indices [-offset, -offset + len(core)).
     Tails are kept primitive and the core minimal, which bounds the window
     any equality or distance scan has to look at.
+
+    A point that ``ShiftSpace.tracking_form`` puts in an explicit edit form
+    is read more than once, and keeps one window of its symbols (see
+    ``window``): ``_kept`` is a pair (first index, symbols), or None on a
+    point that keeps none.  The window caches the immutable fields and never
+    changes what the point is.
     """
 
-    __slots__ = ("left", "core", "right", "offset")
+    __slots__ = ("left", "core", "right", "offset", "_kept")
 
     def __init__(self, left: Sequence[int], core: Sequence[int],
                  right: Sequence[int], offset: int = 0):
@@ -155,6 +171,7 @@ class SymbolicPoint:
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "_kept", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicPoint is immutable")
@@ -201,9 +218,41 @@ class SymbolicPoint:
         return self.right[i % len(self.right)]
 
     def window(self, a: int, b: int) -> Word:
-        """Symbols at indices a..b inclusive, sliced from tails and core."""
+        """Symbols at indices a..b inclusive.
+
+        A point marked by ``_keep`` serves a read inside its kept window by
+        one slice, and keeps for any other read the hull of the read and
+        the kept window, widened by the hull's own length on each side, so
+        that the reads that follow fall inside it.  An unmarked point builds
+        each read and keeps nothing.
+        """
         if b < a:
             return ()
+        kept = self._kept
+        if kept is None:
+            return self._symbols(a, b)
+        lo, w = kept
+        if lo <= a and b < lo + len(w):
+            return w[a - lo:b + 1 - lo]
+        lo, hi = min(a, lo), max(b, lo + len(w) - 1)
+        pad = hi - lo + 1
+        lo, hi = lo - pad, hi + pad
+        w = self._symbols(lo, hi)
+        object.__setattr__(self, "_kept", (lo, w))
+        return w[a - lo:b + 1 - lo]
+
+    def _keep(self) -> None:
+        """Mark a point that will be read more than once.
+
+        The mark is an empty kept window at the core's start, so the first
+        read builds around both the read and the core.
+        """
+        if self._kept is None:
+            object.__setattr__(self, "_kept", (-self.offset, ()))
+
+    def _symbols(self, a: int, b: int) -> Word:
+        """Symbols at indices a..b inclusive (a <= b), sliced from tails and
+        core: the builder behind ``window``."""
         start, end = self.core_span()
         out = ()
         if a < start:
@@ -216,7 +265,20 @@ class SymbolicPoint:
         return out
 
     def shifted(self, k: int) -> "SymbolicPoint":
-        return SymbolicPoint(self.left, self.core, self.right, self.offset + k)
+        """sigma^k of this point.
+
+        A shift of a canonical point is canonical, so the fields are copied
+        and only the offset moves; a shift by 0 is the point itself.
+        """
+        if not k:
+            return self
+        y = object.__new__(SymbolicPoint)
+        object.__setattr__(y, "left", self.left)
+        object.__setattr__(y, "core", self.core)
+        object.__setattr__(y, "right", self.right)
+        object.__setattr__(y, "offset", self.offset + k)
+        object.__setattr__(y, "_kept", None)
+        return y
 
     def core_span(self) -> tuple[int, int]:
         """Absolute index range [start, end) occupied by the core."""
@@ -463,8 +525,8 @@ class ShiftSpace:
         bound = x.scan_bound(y)
         for k in range(bound + 1):
             if x.symbol(k) != y.symbol(k) or x.symbol(-k) != y.symbol(-k):
-                return Fraction(1, 2**k)
-        return Fraction(0)
+                return _dyadic(k)
+        return _ZERO
 
     # -- tracking ------------------------------------------------------------
     #
@@ -488,8 +550,13 @@ class ShiftSpace:
         """The edit form of explicit points: each its own base, unedited.
 
         The points are read as they are: their producers (``decode_point``,
-        ``point_through``, ``apply``) already give admissible points.
+        ``point_through``, ``apply``) already give admissible points.  Each
+        is read more than once, by the jump before it, the jump after it
+        and the deviation scan, and a report's points are shared by its
+        records, so each keeps its window (``SymbolicPoint.window``).
         """
+        for p in points:
+            p._keep()
         return [(p, p.symbol, 0, _NO_EDITS) for p in points]
 
     def max_jump(self, form) -> Fraction:
@@ -520,7 +587,7 @@ class ShiftSpace:
                 best = k
                 if not k or k == floor:
                     break
-        return Fraction(0) if best is None else Fraction(1, 2**best)
+        return _ZERO if best is None else _dyadic(best)
 
     def max_orbit_deviation(self, x: SymbolicPoint, form) -> Fraction:
         """max_n d(sigma^n(x), y_n) over the points y_0, y_1, ... of the form.
@@ -553,7 +620,7 @@ class ShiftSpace:
                         break
             if not best:
                 break
-        return Fraction(0) if best is None else Fraction(1, 2**best)
+        return _ZERO if best is None else _dyadic(best)
 
     def describe(self) -> str:
         rows = ";".join("".join(str(v) for v in row) for row in self.transition)

@@ -42,6 +42,8 @@ def test_scalar_round_trip(value):
     back = decode_scalar(text)
     assert back == value
     assert encode_scalar(back) == text
+    # a repeat, with or without surrounding whitespace, is the memo's value
+    assert decode_scalar(f" {text}\n") is back
 
 
 def test_scalar_decode_with_known_radicand():
@@ -59,6 +61,36 @@ def test_scalar_decode_exact_forms():
 def test_scalar_decode_float_tol():
     with pytest.raises(ValueError):
         decode_scalar("0.5±1e-09")
+
+
+# The scalar decode memo: (stripped text, D) -> value.
+
+def test_scalar_memo_keys_the_radicand():
+    # √5 decodes over D = 5 (or D = 0, from the text) and is refused over
+    # D = 13, whichever of them is decoded first
+    text = "1+1√5"
+    for order in ((5, 13, 0), (13, 5, 0), (0, 13, 5)):
+        codecs._decode_scalar.cache_clear()
+        for D in order + order:
+            if D == 13:
+                with pytest.raises(ValueError, match="radicand mismatch"):
+                    decode_scalar(text, D)
+            else:
+                assert decode_scalar(text, D) == QuadraticNumber(5, 1, 1, 1)
+
+
+@pytest.mark.parametrize("text", ["0.5±1e-09", "1/0", "sqrt(x)", "2-√4"])
+def test_scalar_memo_keeps_no_errors(text):
+    before = codecs._decode_scalar.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            decode_scalar(text)
+    assert codecs._decode_scalar.cache_info().currsize == before
+
+
+def test_scalar_memo_size_is_the_module_constant():
+    info = codecs._decode_scalar.cache_info()
+    assert info.maxsize == codecs._SCALAR_MEMO_SIZE
 
 
 def test_quadratic_encoding_keeps_radicand_last():

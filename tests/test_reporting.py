@@ -7,12 +7,14 @@ import io
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
+from shadowspec import codecs
 from shadowspec.codecs import decode_point, decode_scalar, encode_point, encode_scalar
 from shadowspec.config import parse_config
 from shadowspec.errors import SchemaMismatchError
@@ -45,6 +47,7 @@ from shadowspec.systems import (
     CircleRotation,
     PermutationSystem,
     ShiftSpace,
+    SymbolicPoint,
     ToralAutomorphism,
     _sq_dist_to_int,
     cat_map,
@@ -259,6 +262,33 @@ def test_replay_builds_each_system_once(monkeypatch):
     with pytest.raises(SchemaMismatchError, match="digest"):
         replay_verify_record(forged)
     assert len(built) == 1
+
+
+def test_exhaustive_replay_builds_each_point_window_once(monkeypatch):
+    # small-checks' c3 shape: 2048 records share 512 window points through
+    # the decode memo; each point's symbols are built once and then sliced
+    # from the window it keeps.  A tracer is no point of an explicit form:
+    # it keeps nothing, so the one-shot tracers of seeded records pay
+    # nothing for the cache
+    cfg = EXHAUSTIVE_CFG.replace("width = 5", "width = 9").replace(
+        "length = 3", "length = 2").replace("delta = 1/4", "delta = 1/16")
+    records = run_check(parse_config(cfg.replace("epsilon = 1/2",
+                                                 "epsilon = 1/8")))
+    assert len(records) == 2048
+    sys, _ = _system_and_digest(records[0].parameters["system"])  # replay's
+    points = {t for r in records
+              for t in r.witness_payload["pseudoOrbit"]["points"]}
+    tracers = {r.witness_payload["tracer"] for r in records} - points
+    assert (len(points), len(tracers)) == (512, 512)
+    built = Counter()
+    real = SymbolicPoint._symbols
+    monkeypatch.setattr(SymbolicPoint, "_symbols", lambda p, a, b: (
+        built.update([encode_point(sys, p)]) or real(p, a, b)))
+    codecs._decode_symbolic.cache_clear()
+    assert replay_verify(records)
+    assert [built[t] for t in points] == [1] * len(points)
+    assert all(built[t] and decode_point(sys, t)._kept is None
+               for t in tracers)
 
 
 def test_explicit_replay_checks_gap_against_delta():
@@ -773,8 +803,12 @@ def test_falsify_replay_ties_threshold_to_epsilon():
         (40, "9/80")
     assert replay_verify_record(rec)
     assert _rejected(_forge(rec, epsilon="1"))
-    assert _rejected(_forge(rec, certificate={**pl["certificate"],
-                                              "threshold": "0"}))
+    # a threshold of epsilon itself leaves no margin for the grid pitch:
+    # every grid orbit still misses by 9/80 >= 1/10, so only the margin
+    # check refuses it
+    for threshold in ("0", "1/10"):
+        assert _rejected(_forge(rec, certificate={**pl["certificate"],
+                                                  "threshold": threshold}))
 
 
 def test_falsify_replay_rebuilds_rotation_certificate():

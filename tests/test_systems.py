@@ -1,5 +1,6 @@
 """System models: shift spaces, toral automorphisms, rotation, permutation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,10 +41,38 @@ class TestSymbolicPoint:
     ])
     def test_window_matches_symbols(self, x):
         # ranges inside one tail, across the core into both tails, around
-        # an empty core, at negative offsets, and empty ones with b < a
-        for a in range(-17, 18):
-            for b in range(a - 2, 18):
-                assert x.window(a, b) == tuple(x.symbol(n) for n in range(a, b + 1))
+        # an empty core, at negative offsets, and empty ones with b < a;
+        # each order reads a fresh copy in turn, so that later reads cross
+        # the window it keeps from the left, from the right and at random,
+        # on a point that keeps its last build and on one marked by _keep
+        pairs = [(a, b) for a in range(-17, 18) for b in range(a - 2, 18)]
+        shuffled = pairs[:]
+        random.Random(0).shuffle(shuffled)
+        for order in (pairs, pairs[::-1], shuffled):
+            for keep in (False, True):
+                y = SymbolicPoint(x.left, x.core, x.right, x.offset)
+                if keep:
+                    y._keep()
+                for a, b in order:
+                    assert y.window(a, b) == \
+                        tuple(x.symbol(n) for n in range(a, b + 1))
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=4),
+           st.lists(st.integers(0, 2), max_size=6),
+           st.lists(st.integers(0, 2), min_size=1, max_size=4),
+           st.integers(-9, 9), st.integers(-12, 12))
+    def test_shifted_is_the_canonical_point(self, left, core, right, offset, k):
+        # the copy of the canonical fields with the offset moved is the
+        # point the constructor canonicalizes, and just as immutable
+        x = SymbolicPoint(left, core, right, offset)
+        y = x.shifted(k)
+        z = SymbolicPoint(x.left, x.core, x.right, x.offset + k)
+        assert (y.left, y.core, y.right, y.offset) == \
+            (z.left, z.core, z.right, z.offset)
+        assert y.window(-9, 9) == z.window(-9, 9)
+        with pytest.raises(AttributeError, match="immutable"):
+            y.offset = 0
 
     def test_shift_moves_the_origin(self):
         x = SymbolicPoint((0,), (1,), (0,), 0)
